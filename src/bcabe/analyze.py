@@ -18,7 +18,16 @@ import numpy as np
 
 from .basis import BellLabel, bell_projector
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .construct import NoisyWeights, bell_diagonal
+from .construct import (
+    NoisyWeights,
+    RHO_PLUS,
+    STATE_CLASSES,
+    StateClass,
+    bell_diagonal,
+    pauli_relate,
+    projector_direct,
+    projector_recursive,
+)
 from .linalg import (
     Bipartition,
     DensityMatrix,
@@ -48,7 +57,8 @@ def is_ppt(
     rho: DensityMatrix, cut: Bipartition, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CutVerdict:
     """PPT test with eigenvalue evidence for one bipartite cut."""
-    rho.validate(tol)
+    if not rho.validated(tol):
+        rho.validate(tol)
     pt = partial_transpose(rho, cut)
     eigs = hermitian_eigenvalues(pt, tol)
     one_norm = float(np.abs(pt).sum(axis=0).max())
@@ -116,6 +126,7 @@ def scan_all_cuts(
     else:
         raise AnalyzeError(f"unknown scan mode {mode!r}")
     cuts.sort(key=lambda c: (len(c.left), c.left))
+    rho.validate(tol)
     return [is_ppt(rho, cut, tol) for cut in cuts]
 
 
@@ -219,21 +230,94 @@ class ActivationEvidence:
 
 
 @dataclass(frozen=True)
-class AbeReport:
-    descriptor: str
+class Check:
+    """One checklist line: a property, the state it was checked on, the verdict
+    and the numbers behind it."""
+
+    name: str
+    state: str
+    passed: bool
+    detail: dict[str, float | int | bool | None]
+
+
+def check_family(
+    n: int, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[dict[StateClass, DensityMatrix], list[Check]]:
+    """The four class states built directly, and the checks on them as a family.
+
+    Their projectors sum to the identity, they are mutually orthogonal, and
+    the direct, recursive and Pauli constructions build the same states.
+    """
+    direct = {cls: projector_direct(cls, n) for cls in STATE_CLASSES}
+    total = sum(2 ** (n - 2) * direct[cls].matrix for cls in STATE_CLASSES)
+    err = float(np.abs(total - np.eye(2**n)).max())
+    overlap = max(
+        float(np.abs(direct[a].matrix @ direct[b].matrix).max())
+        for a, b in itertools.combinations(STATE_CLASSES, 2)
+    )
+    checks = [
+        Check("completeness", "all", err < tol.equality, {"max_error": err}),
+        Check("mutual-orthogonality", "all", overlap < tol.equality, {"max_error": overlap}),
+    ]
+    for cls in STATE_CLASSES:
+        rec = projector_recursive(cls, n)
+        pau = pauli_relate(direct[RHO_PLUS], cls)
+        d = {
+            "direct_vs_recursive": frobenius_distance(direct[cls].matrix, rec.matrix),
+            "direct_vs_pauli": frobenius_distance(direct[cls].matrix, pau.matrix),
+            "recursive_vs_pauli": frobenius_distance(rec.matrix, pau.matrix),
+        }
+        checks.append(Check("construction-triangle", cls.descriptor, max(d.values()) < tol.equality, d))
+    return direct, checks
+
+
+@dataclass(frozen=True)
+class StateEvidence:
+    """Cut scan, qubit-swap symmetry and pair-vs-rest certificates of one state."""
+
     qubits: int
     cut_verdicts: tuple[CutVerdict, ...]
     permutation_invariant: bool
     max_permutation_deviation: float
     certificates: tuple[SeparabilityCertificate, ...]
-    two_vs_rest_separable_certified: bool
-    activation: ActivationEvidence
-    activable: bool
     timings: dict[str, float] = field(repr=False, default_factory=dict)
+
+    def cuts_of_size(self, k: int) -> list[CutVerdict]:
+        """Verdicts on the cuts whose smaller side holds k qubits."""
+        return [v for v in self.cut_verdicts if min(len(v.cut.left), len(v.cut.right)) == k]
 
     @property
     def has_npt_cut(self) -> bool:
         return any(not v.ppt for v in self.cut_verdicts)
+
+    @property
+    def two_vs_rest_ppt(self) -> bool:
+        return all(v.ppt for v in self.cuts_of_size(2))
+
+    @property
+    def two_vs_rest_separable_certified(self) -> bool:
+        return all(c.ok for c in self.certificates)
+
+    def checks(self, state: str) -> list[Check]:
+        """The evidence as checklist lines: symmetry, cut pattern, certificates."""
+        ones = self.cuts_of_size(1)
+        one_npt = all(not v.ppt for v in ones)
+        scan = {
+            "cuts": len(self.cut_verdicts),
+            "two_vs_rest_ppt": self.two_vs_rest_ppt,
+            "one_vs_rest_npt": one_npt,
+            "one_vs_rest_negativity": ones[0].negativity if ones else None,
+        }
+        certs = {
+            "pairs": len(self.certificates),
+            "max_reconstruction_error": max(c.reconstruction_error for c in self.certificates),
+        }
+        symmetry = {"max_deviation": self.max_permutation_deviation}
+        return [
+            Check("permutation-invariance", state, self.permutation_invariant, symmetry),
+            Check("cut-scan", state, self.two_vs_rest_ppt and one_npt, scan),
+            Check("two-vs-rest-certificates", state, self.two_vs_rest_separable_certified, certs),
+        ]
 
 
 def certificate_pairs(n: int) -> list[tuple[int, int]]:
@@ -244,18 +328,15 @@ def certificate_pairs(n: int) -> list[tuple[int, int]]:
     return [(1, 2), (2, n - 1), (n - 1, n)]
 
 
-def classify_abe(
+def gather_evidence(
     rho: DensityMatrix,
-    descriptor: str = "state",
     tol: Tolerances = DEFAULT_TOLERANCES,
     scan_mode: str = "auto",
     seed: int | None = None,
-) -> AbeReport:
-    """Full checklist: cut scan, pair certificates, symmetry, and activation.
+) -> StateEvidence:
+    """Cut scan, permutation invariance and pair certificates, timed per stage.
 
-    activable requires an NPT cut, a PPT verdict plus certificate on every
-    pair-vs-rest cut, permutation invariance, and protocol evidence that every
-    unlock branch leaves the kept pair entangled.
+    Raises if a certificate proves a pair cut separable that the scan found NPT.
     """
     n = rho.qubits
     if n % 2 or n < 4:
@@ -274,23 +355,38 @@ def classify_abe(
     certs = tuple(
         certify_two_vs_rest_separable(rho, pair, tol) for pair in certificate_pairs(n)
     )
-    certified = all(c.ok for c in certs)
     timings["certificates"] = time.perf_counter() - t0
 
-    # hard consistency: a certificate implies PPT across that pair's cut
-    pair_cuts: dict[frozenset, CutVerdict] = {}
-    for v in verdicts:
-        if len(v.cut.left) == 2:
-            pair_cuts[frozenset(v.cut.left)] = v
-        if len(v.cut.right) == 2:
-            pair_cuts[frozenset(v.cut.right)] = v
+    npt_sides = {frozenset(side) for v in verdicts if not v.ppt for side in (v.cut.left, v.cut.right)}
     for cert in certs:
-        if cert.ok:
-            verdict = pair_cuts.get(frozenset(cert.pair))
-            if verdict is not None and not verdict.ppt:
-                raise AnalyzeError(
-                    f"certificate for pair {cert.pair} contradicts NPT verdict"
-                )
+        if cert.ok and frozenset(cert.pair) in npt_sides:
+            raise AnalyzeError(f"certificate for pair {cert.pair} contradicts NPT verdict")
+    return StateEvidence(n, verdicts, invariant, deviation, certs, timings)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AbeReport(StateEvidence):
+    """A state's evidence plus the activation step and the overall verdict."""
+
+    descriptor: str
+    activation: ActivationEvidence
+    activable: bool
+
+
+def classify_abe(
+    rho: DensityMatrix,
+    descriptor: str = "state",
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    scan_mode: str = "auto",
+    seed: int | None = None,
+) -> AbeReport:
+    """Full checklist: the state's evidence, then activation.
+
+    activable requires an NPT cut, a PPT verdict plus certificate on every
+    pair-vs-rest cut, permutation invariance, and protocol evidence that every
+    unlock branch leaves the kept pair entangled.
+    """
+    evidence = gather_evidence(rho, tol, scan_mode, seed)
 
     t0 = time.perf_counter()
     unlock = protocol.unlock_sequential(rho, (1, 2), tol=tol)
@@ -300,27 +396,13 @@ def classify_abe(
         for b in unlock.branches
     )
     activation = ActivationEvidence(
-        keep=unlock.keep,
-        branch_count=len(unlock.branches),
-        min_fidelity=unlock.min_fidelity,
-        xor_rule_holds=unlock.xor_rule_holds,
-        all_branches_entangled=all_entangled,
+        unlock.keep, len(unlock.branches), unlock.min_fidelity, unlock.xor_rule_holds, all_entangled
     )
-    timings["activation"] = time.perf_counter() - t0
+    timings = {**evidence.timings, "activation": time.perf_counter() - t0}
 
-    two_sizes = [v for v in verdicts if min(len(v.cut.left), len(v.cut.right)) == 2]
-    ppt_on_pairs = all(v.ppt for v in two_sizes)
-    has_npt = any(not v.ppt for v in verdicts)
-    activable = has_npt and ppt_on_pairs and certified and invariant and all_entangled
-    return AbeReport(
-        descriptor=descriptor,
-        qubits=n,
-        cut_verdicts=verdicts,
-        permutation_invariant=invariant,
-        max_permutation_deviation=deviation,
-        certificates=certs,
-        two_vs_rest_separable_certified=certified,
-        activation=activation,
-        activable=activable,
-        timings=timings,
+    activable = (
+        evidence.has_npt_cut and evidence.two_vs_rest_ppt and evidence.permutation_invariant
+        and evidence.two_vs_rest_separable_certified and all_entangled
     )
+    fields = {**vars(evidence), "timings": timings}
+    return AbeReport(**fields, descriptor=descriptor, activation=activation, activable=activable)

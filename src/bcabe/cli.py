@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json as _json
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,14 +24,10 @@ from .config import DEFAULT_TOLERANCES, MAX_QUBITS_ENV, Tolerances, max_qubits
 from .construct import (
     ConstructError,
     NoisyWeights,
-    RHO_PLUS,
-    STATE_CLASSES,
     StateClass,
     bell_diagonal,
     noisy_state,
-    pauli_relate,
     projector_direct,
-    projector_recursive,
 )
 from .linalg import (
     Bipartition,
@@ -38,7 +35,6 @@ from .linalg import (
     LinalgError,
     dump_matrix,
     format_float,
-    frobenius_distance,
     hermitian_eigenvalues,
 )
 from .protocol import ProtocolError
@@ -177,14 +173,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             )
     tol = DEFAULT_TOLERANCES
     if getattr(args, "tol_ppt", None) is not None:
-        if args.tol_ppt <= 0:
-            raise ConfigError("--tol-ppt must be positive")
+        if not (math.isfinite(args.tol_ppt) and args.tol_ppt > 0):
+            raise ConfigError("--tol-ppt must be finite and positive")
         tol = replace(tol, ppt=args.tol_ppt)
-    scan_mode = "auto"
-    if getattr(args, "exhaustive", False):
-        scan_mode = "exhaustive"
-    elif getattr(args, "sampled", False):
-        scan_mode = "sampled"
     points = getattr(args, "points", 101)
     if points < 3:
         raise ConfigError("--points must be at least 3")
@@ -198,7 +189,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tolerances=tol,
         json_path=getattr(args, "json", None),
         dump_path=getattr(args, "dump", None),
-        scan_mode=scan_mode,
+        scan_mode=getattr(args, "scan_mode", "auto"),
         seed=getattr(args, "seed", None),
         line=getattr(args, "line", "two-term"),
         points=points,
@@ -237,91 +228,26 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def _verify_checks(cfg: RunConfig) -> list[dict]:
-    n = cfg.n
-    tol = cfg.tolerances
-    checks: list[dict] = []
-
-    def record(name: str, state: str, passed: bool, **detail):
-        entry = {"check": name, "state": state, "passed": bool(passed)}
-        entry.update(detail)
-        checks.append(entry)
-
-    direct = {cls: projector_direct(cls, n) for cls in STATE_CLASSES}
-
-    total = sum(2 ** (n - 2) * direct[cls].matrix for cls in STATE_CLASSES)
-    err = float(np.abs(total - np.eye(2**n)).max())
-    record("completeness", "all", err < tol.equality, max_error=err)
-
-    worst = 0.0
-    for i, a in enumerate(STATE_CLASSES):
-        for b in STATE_CLASSES[i + 1 :]:
-            worst = max(worst, float(np.abs(direct[a].matrix @ direct[b].matrix).max()))
-    record("mutual-orthogonality", "all", worst < tol.equality, max_error=worst)
-
-    base = direct[RHO_PLUS]
-    for cls in STATE_CLASSES:
-        rec = projector_recursive(cls, n)
-        pau = pauli_relate(base, cls)
-        d1 = frobenius_distance(direct[cls].matrix, rec.matrix)
-        d2 = frobenius_distance(direct[cls].matrix, pau.matrix)
-        d3 = frobenius_distance(rec.matrix, pau.matrix)
-        record(
-            "construction-triangle",
-            cls.descriptor,
-            max(d1, d2, d3) < tol.equality,
-            direct_vs_recursive=d1,
-            direct_vs_pauli=d2,
-            recursive_vs_pauli=d3,
-        )
-
-    for cls in STATE_CLASSES:
-        ok, dev = analyze.check_permutation_invariance(direct[cls], tol)
-        record("permutation-invariance", cls.descriptor, ok, max_deviation=dev)
-
-    for cls in STATE_CLASSES:
-        verdicts = analyze.scan_all_cuts(direct[cls], cfg.scan_mode, tol, seed=cfg.seed)
-        two = [v for v in verdicts if min(len(v.cut.left), len(v.cut.right)) == 2]
-        ones = [v for v in verdicts if min(len(v.cut.left), len(v.cut.right)) == 1]
-        record(
-            "cut-scan",
-            cls.descriptor,
-            all(v.ppt for v in two) and all(not v.ppt for v in ones),
-            cuts=len(verdicts),
-            two_vs_rest_ppt=all(v.ppt for v in two),
-            one_vs_rest_npt=all(not v.ppt for v in ones),
-            one_vs_rest_negativity=ones[0].negativity if ones else None,
-        )
-
-    pairs = analyze.certificate_pairs(n)
-    for cls in STATE_CLASSES:
-        worst_err = 0.0
-        ok = True
-        for pair in pairs:
-            cert = analyze.certify_two_vs_rest_separable(direct[cls], pair, tol)
-            ok = ok and cert.ok
-            worst_err = max(worst_err, cert.reconstruction_error)
-        record(
-            "two-vs-rest-certificates",
-            cls.descriptor,
-            ok,
-            pairs=len(pairs),
-            max_reconstruction_error=worst_err,
-        )
-    return checks
-
-
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
+    tol = cfg.tolerances
     t0 = time.perf_counter()
-    checks = _verify_checks(cfg)
+    states, checks = analyze.check_family(cfg.n, tol)
+    # one state's evidence at a time: it holds every certificate's factor states
+    per_state = [
+        analyze.gather_evidence(rho, tol, cfg.scan_mode, cfg.seed).checks(cls.descriptor)
+        for cls, rho in states.items()
+    ]
+    checks += [c for lines in zip(*per_state) for c in lines]
     elapsed = time.perf_counter() - t0
-    failed = [c for c in checks if not c["passed"]]
+    failed = [c for c in checks if not c.passed]
     report = {
         "command": "verify",
         "qubits": cfg.n,
         "passed": not failed,
-        "failed_checks": [f'{c["check"]}[{c["state"]}]' for c in failed],
-        "checks": checks,
+        "failed_checks": [f"{c.name}[{c.state}]" for c in failed],
+        "checks": [
+            {"check": c.name, "state": c.state, "passed": c.passed, **c.detail} for c in checks
+        ],
         "tolerances": cfg.tolerances.as_dict(),
     }
     if cfg.include_timings:
@@ -400,7 +326,6 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
     tol = cfg.tolerances
     rows = []
-    entangled_flags = []
     agree_everywhere = True
     for i in range(cfg.points):
         w = i / (cfg.points - 1)
@@ -412,17 +337,15 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
         else:
             raise ConfigError(f"unknown scan line {cfg.line!r} (want two-term|werner)")
         verdict = analyze.bell_diagonal_entangled(weights, tol)
-        pi_plus = bell_diagonal(weights, "pi", +1)
         cut = Bipartition.of((1,), 2)
-        ppt_rows = [analyze.is_ppt(pi_plus, cut, tol)]
-        ppt_rows.append(analyze.is_ppt(bell_diagonal(weights, "pi", -1), cut, tol))
-        ppt_rows.append(analyze.is_ppt(bell_diagonal(weights, "gamma", +1), cut, tol))
-        ppt_rows.append(analyze.is_ppt(bell_diagonal(weights, "gamma", -1), cut, tol))
+        ppt_rows = [
+            analyze.is_ppt(bell_diagonal(weights, family, sign), cut, tol)
+            for family, sign in (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
+        ]
         agree = all((not v.ppt) == verdict.entangled for v in ppt_rows)
         agree_everywhere = agree_everywhere and agree
         unlocked = protocol.unlock_sequential(noisy_state(weights, cfg.n), (1, 2), tol=tol)
         best = max((b.fidelity for b in unlocked.branches if b.fidelity is not None), default=0.0)
-        entangled_flags.append(verdict.entangled)
         rows.append(
             {
                 "w": w,
@@ -435,10 +358,7 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
                 "rule_agrees_with_ppt": agree,
             }
         )
-    flips = []
-    for i in range(len(rows) - 1):
-        if entangled_flags[i] != entangled_flags[i + 1]:
-            flips.append([rows[i]["w"], rows[i + 1]["w"]])
+    flips = [[a["w"], b["w"]] for a, b in zip(rows, rows[1:]) if a["entangled"] != b["entangled"]]
     flips_at_half = all(a <= 0.5 <= b for a, b in flips)
     ok = agree_everywhere and bool(flips) and flips_at_half
     report = {
@@ -488,20 +408,9 @@ def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
         "max_permutation_deviation": rep.max_permutation_deviation,
         "certificates": certs,
         "two_vs_rest_separable_certified": rep.two_vs_rest_separable_certified,
-        "activation": {
-            "keep": list(rep.activation.keep),
-            "branch_count": rep.activation.branch_count,
-            "min_fidelity": rep.activation.min_fidelity,
-            "xor_rule_holds": rep.activation.xor_rule_holds,
-            "all_branches_entangled": rep.activation.all_branches_entangled,
-        },
+        "activation": asdict(rep.activation),
         "activable": rep.activable,
-        "checks": [
-            "cut-scan",
-            "permutation-invariance",
-            "two-vs-rest-certificates",
-            "activation-protocol",
-        ],
+        "checks": ["cut-scan", "permutation-invariance", "two-vs-rest-certificates", "activation-protocol"],
         "tolerances": cfg.tolerances.as_dict(),
     }
     if cfg.include_timings:
@@ -531,12 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_args(p, need_n=True):
+    def add_scan_args(p):
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--exhaustive", dest="scan_mode", action="store_const", const="exhaustive",
+                          default="auto", help="force the exhaustive cut scan")
+        mode.add_argument("--sampled", dest="scan_mode", action="store_const", const="sampled",
+                          help="use the sampled cut scan")
+        p.add_argument("--seed", type=int, default=None, help="seed for sampled modes only")
+
+    def add_state_args(p):
         p.add_argument("--class", dest="state_class", metavar="CLS",
                        help="rho+ | rho- | sigma+ | sigma-")
         p.add_argument("--noisy", metavar="W", help="x+,x-,y+,y- convex weights")
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="even qubit count (4..ceiling)")
+        p.add_argument("--n", type=int, required=True, help="even qubit count (4..ceiling)")
         p.add_argument("--tol-ppt", type=float, default=None, help="override the PPT eigenvalue tolerance")
         p.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
@@ -550,9 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-ppt", type=float, default=None)
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--exhaustive", action="store_true", help="force the exhaustive cut scan")
-    p.add_argument("--sampled", action="store_true", help="use the sampled cut scan")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled modes only")
+    add_scan_args(p)
 
     p = sub.add_parser("unlock", help="sequential pairwise Bell measurements")
     add_state_args(p)
@@ -573,9 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full classification report for one state")
     add_state_args(p)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--sampled", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    add_scan_args(p)
 
     return parser
 
@@ -585,10 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if cfg.command in ("unlock", "discriminate", "report") and cfg.state_class is None and cfg.weights is None:
-            raise ConfigError(f"{cfg.command} needs --class or --noisy")
-        if cfg.command == "construct" and cfg.state_class is None and cfg.weights is None:
-            raise ConfigError("construct needs --class or --noisy")
         report, ok = COMMANDS[cfg.command](cfg)
     except (ConfigError, ConstructError, BasisError, LinalgError, AnalyzeError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,7 +148,7 @@ class NoisyWeights:
 
     def __post_init__(self):
         vals = self.as_tuple()
-        if any(v < 0 or v > 1 for v in vals):
+        if any(not (0 <= v <= 1) for v in vals):
             raise ConstructError(f"weights must lie in [0, 1], got {vals}")
         if abs(sum(vals) - 1.0) > 1e-12:
             raise ConstructError(f"weights must sum to 1, got sum {sum(vals)!r}")

@@ -28,13 +28,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def qubit_count(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim < 2 or 2**n != dim:
-        raise LinalgError(f"dimension {dim} is not a power of two >= 2")
-    return n
-
-
 def tensor(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product; the first factor is the most significant."""
     if not mats:
@@ -110,7 +103,10 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def validate(self, tol: Tolerances = DEFAULT_TOLERANCES, psd: bool = False) -> None:
-        """Check Hermiticity and unit trace; eigenvalue floor only on request."""
+        """Check Hermiticity and unit trace; eigenvalue floor only on request.
+
+        A passed Hermiticity and trace check is remembered, see `validated`.
+        """
         m = self.matrix
         herm_err = float(np.abs(m - m.conj().T).max())
         if herm_err > tol.hermiticity:
@@ -118,10 +114,15 @@ class DensityMatrix:
         tr_err = abs(np.trace(m) - 1.0)
         if tr_err > tol.trace:
             raise LinalgError(f"trace differs from 1 by {tr_err:.3e}")
+        object.__setattr__(self, "_validated_under", tol)
         if psd:
             lo = hermitian_eigenvalues(m, tol)[0]
             if lo < -tol.psd:
                 raise LinalgError(f"negative eigenvalue {lo:.3e}")
+
+    def validated(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+        """Whether Hermiticity and unit trace already passed under `tol`."""
+        return self.__dict__.get("_validated_under") == tol
 
 
 def _as_tensor(mat: np.ndarray, n: int) -> np.ndarray:
@@ -393,7 +394,14 @@ def load_matrix(text: str) -> np.ndarray:
     if len(lines) != 1 + d * d:
         raise LinalgError(f"expected {d * d} entry lines, got {len(lines) - 1}")
     m = np.zeros((d, d), dtype=complex)
+    seen = set()
     for ln in lines[1:]:
         i_s, j_s, re_s, im_s = ln.split()
-        m[int(i_s), int(j_s)] = float(re_s) + 1j * float(im_s)
+        i, j = int(i_s), int(j_s)
+        if not (0 <= i < d and 0 <= j < d):
+            raise LinalgError(f"entry ({i}, {j}) out of range for dim {d}")
+        if (i, j) in seen:
+            raise LinalgError(f"entry ({i}, {j}) given twice")
+        seen.add((i, j))
+        m[i, j] = float(re_s) + 1j * float(im_s)
     return m

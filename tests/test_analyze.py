@@ -17,7 +17,7 @@ from bcabe.construct import (
     STATE_CLASSES,
     noisy_state,
 )
-from bcabe.linalg import Bipartition, DensityMatrix, frobenius_distance, tensor
+from bcabe.linalg import Bipartition, DensityMatrix, LinalgError, frobenius_distance, tensor
 from conftest import random_density_matrix
 
 
@@ -57,6 +57,23 @@ class TestScanAllCuts:
         twos = [v for v in verdicts if min(len(v.cut.left), len(v.cut.right)) == 2]
         assert len(ones) == 4 and all(not v.ppt for v in ones)
         assert len(twos) == 3 and all(v.ppt for v in twos)
+
+    def test_validates_once_per_scan(self, monkeypatch):
+        calls = []
+        real = DensityMatrix.validate
+        monkeypatch.setattr(
+            DensityMatrix, "validate", lambda self, *a, **k: calls.append(1) or real(self, *a, **k)
+        )
+        rho = noisy_state(NoisyWeights(0.7, 0.1, 0.1, 0.1), 4)
+        assert len(scan_all_cuts(rho)) == 7
+        assert len(calls) == 1
+        is_ppt(rho, Bipartition.of((1,), 4))
+        assert len(calls) == 1  # already validated under the same tolerances
+        bad = DensityMatrix(4, 2 * rho.matrix)
+        with pytest.raises(LinalgError):
+            is_ppt(bad, Bipartition.of((1,), 4))
+        with pytest.raises(LinalgError):
+            scan_all_cuts(bad)
 
     def test_six_qubit_all_two_vs_four_ppt(self, class_states):
         verdicts = scan_all_cuts(class_states[(RHO_PLUS, 6)])

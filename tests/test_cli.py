@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bcabe import cli
+from bcabe.analyze import classify_abe
 from bcabe.cli import main, render_json
+from bcabe.construct import STATE_CLASSES, projector_direct
 from bcabe.linalg import load_matrix
 
 
@@ -227,7 +229,49 @@ class TestConfigErrors:
     def test_bad_tol(self, capsys):
         assert run(["verify", "--n", "4", "--tol-ppt", "-1"]) == 2
 
+    def test_nan_weight(self, capsys):
+        argv = ["unlock", "--noisy", "nan,0.5,0.25,0.25", "--n", "4", "--keep", "1,2"]
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["verify"], ["report", "--class", "rho+"]])
+    def test_non_finite_tol(self, command, value, capsys):
+        assert run(command + ["--n", "4", "--tol-ppt", value]) == 2
+
+    def test_exhaustive_and_sampled_conflict(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--n", "4", "--exhaustive", "--sampled"])
+        assert exc.value.code == 2
+
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestOneChecklist:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_verify_records_match_classify_abe(self, n, tmp_path, capsys):
+        path = tmp_path / "verify.json"
+        assert run(["verify", "--n", str(n), "--json", str(path)]) == 0
+        records = {
+            (c["check"], c["state"]): c for c in json.loads(path.read_text())["checks"]
+        }
+        for cls in STATE_CLASSES:
+            rep = classify_abe(projector_direct(cls, n))
+            ones = [v for v in rep.cut_verdicts if min(len(v.cut.left), len(v.cut.right)) == 1]
+            twos = [v for v in rep.cut_verdicts if min(len(v.cut.left), len(v.cut.right)) == 2]
+            scan = records[("cut-scan", cls.descriptor)]
+            assert scan["cuts"] == len(rep.cut_verdicts)
+            assert scan["two_vs_rest_ppt"] is all(v.ppt for v in twos)
+            assert scan["one_vs_rest_npt"] is all(not v.ppt for v in ones)
+            assert scan["one_vs_rest_negativity"] == ones[0].negativity
+            perm = records[("permutation-invariance", cls.descriptor)]
+            assert perm["passed"] is rep.permutation_invariant
+            assert perm["max_deviation"] == rep.max_permutation_deviation
+            certs = records[("two-vs-rest-certificates", cls.descriptor)]
+            assert certs["passed"] is rep.two_vs_rest_separable_certified
+            assert certs["pairs"] == len(rep.certificates)
+            assert certs["max_reconstruction_error"] == max(
+                c.reconstruction_error for c in rep.certificates
+            )

@@ -240,6 +240,21 @@ class TestDumpFormat:
         m = np.array([[-0.0 + 0.0j]])
         assert "-0" not in dump_matrix(np.kron(m, np.eye(1)))
 
+    def test_duplicate_entry_rejected(self):
+        text = dump_matrix(np.eye(2)).replace("0 1 0 0", "0 0 1 0")
+        with pytest.raises(LinalgError, match="twice"):
+            load_matrix(text)
+
+    def test_out_of_range_index_rejected(self):
+        text = dump_matrix(np.eye(2)).replace("1 1 1 0", "2 1 1 0")
+        with pytest.raises(LinalgError, match="out of range"):
+            load_matrix(text)
+
+    def test_negative_index_rejected(self):
+        text = dump_matrix(np.eye(2)).replace("1 1 1 0", "-1 -1 7 0")
+        with pytest.raises(LinalgError, match="out of range"):
+            load_matrix(text)
+
     def test_17_digit_round_trip(self):
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)
