@@ -42,6 +42,7 @@ from .analyze import AnalyzeError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+MAX_POINTS = 10001  # noisy-scan grid: w in steps of 1e-4
 
 
 class ConfigError(ValueError):
@@ -54,7 +55,10 @@ class ConfigError(ValueError):
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """Byte-stable JSON: insertion-ordered keys, %.17g floats, no -0.0."""
+    """Byte-stable JSON: insertion-ordered keys, %.17g floats, no -0.0.
+
+    A non-finite float raises ValueError: JSON has no nan or inf.
+    """
     pad = "  " * indent
     child = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -70,6 +74,8 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, bool) or obj is None:
         return _json.dumps(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"report value {obj!r} is not finite and has no JSON form")
         return format_float(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -177,8 +183,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--tol-ppt must be finite and positive")
         tol = replace(tol, ppt=args.tol_ppt)
     points = getattr(args, "points", 101)
-    if points < 3:
-        raise ConfigError("--points must be at least 3")
+    if not 3 <= points <= MAX_POINTS:
+        raise ConfigError(f"--points must be between 3 and {MAX_POINTS}; got {points}")
     return RunConfig(
         command=args.command,
         state_class=state_class,
@@ -498,10 +504,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         report, ok = COMMANDS[cfg.command](cfg)
+        payload = render_json(report) + "\n"
     except (ConfigError, ConstructError, BasisError, LinalgError, AnalyzeError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    payload = render_json(report) + "\n"
     if cfg.json_path:
         with open(cfg.json_path, "w") as fh:
             fh.write(payload)

@@ -16,13 +16,7 @@ import numpy as np
 from .basis import BELL_LABELS, BellLabel, bell_vector
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import STATE_CLASSES, StateClass, class_projector_unnormalized
-from .linalg import (
-    DensityMatrix,
-    pair_sandwich,
-    partial_trace_matrix,
-    reorder_qubits,
-    tensor,
-)
+from .linalg import DensityMatrix, pair_sandwich
 
 
 class ProtocolError(ValueError):
@@ -190,6 +184,11 @@ def discriminate_subspace(
     Outcome k projects the group onto the class-k subspace; the post state is
     the kept pair's conditional state.  For the class states each outcome has
     probability 1/4 and leaves the kept pair in the correlated Bell state.
+
+    Only the kept pair's operator is needed, and for a projector P on the group
+    Tr_group[(I⊗P) rho (I⊗P)] = Tr_group[(I⊗P) rho], so each outcome is one
+    contraction of rho against P over the group's indices: O(4**n) work, with
+    no 2**n x 2**n product formed.
     """
     n = rho.qubits
     group = tuple(sorted(int(q) for q in group))
@@ -199,23 +198,17 @@ def discriminate_subspace(
             f"group {group} must be all qubits except one pair of {n}"
         )
     g = len(group)
+    # (kept rows, group rows, kept cols, group cols), each side in ascending order
+    rows = [q - 1 for q in kept + group]
+    split = (
+        rho.matrix.reshape((2,) * (2 * n))
+        .transpose(rows + [n + a for a in rows])
+        .reshape(4, 2**g, 4, 2**g)
+    )
     outcomes = []
     for cls in STATE_CLASSES:
-        proj_small = class_projector_unnormalized(cls, g)
-        proj = _embed_on_group(proj_small, n, group)
-        op = proj @ rho.matrix @ proj
+        op = np.einsum("agbh,hg->ab", split, class_projector_unnormalized(cls, g))
         p = float(np.trace(op).real)
-        if p > tol.zero_probability:
-            reduced = partial_trace_matrix(op, n, kept)
-            post = DensityMatrix(2, reduced / p)
-        else:
-            post = None
+        post = DensityMatrix(2, op / p) if p > tol.zero_probability else None
         outcomes.append(MeasurementOutcome(cls, p, post))
     return outcomes
-
-
-def _embed_on_group(op: np.ndarray, n: int, group: tuple[int, ...]) -> np.ndarray:
-    """op placed on `group`, identity elsewhere, for arbitrary qubit positions."""
-    kept = [q for q in range(1, n + 1) if q not in group]
-    big = tensor(np.eye(2 ** len(kept), dtype=complex), op)
-    return reorder_qubits(big, n, kept + list(group))

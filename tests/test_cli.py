@@ -207,6 +207,18 @@ class TestDeterminism:
         assert '"z": 0' in text and "-0" not in text
         assert '"b": true' in text
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_report_exits_2_without_json(self, value, monkeypatch, tmp_path, capsys):
+        report = {"command": "discriminate", "outcomes": [{"probability": value}]}
+        monkeypatch.setitem(cli.COMMANDS, "discriminate", lambda cfg: (report, True))
+        path = tmp_path / "report.json"
+        argv = ["discriminate", "--class", "rho+", "--n", "4", "--json", str(path)]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "not finite" in err
+        assert "Traceback" not in err and out == ""
+        assert not path.exists()
+
 
 class TestConfigErrors:
     def test_odd_n(self, capsys):
@@ -237,6 +249,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", [["verify"], ["report", "--class", "rho+"]])
     def test_non_finite_tol(self, command, value, capsys):
         assert run(command + ["--n", "4", "--tol-ppt", value]) == 2
+
+    @pytest.mark.parametrize("points", ["10002", "1000000000"])
+    def test_points_above_cap(self, points, capsys):
+        assert run(["noisy-scan", "--n", "4", "--points", points]) == 2
+        assert "--points must be between 3 and 10001" in capsys.readouterr().err
 
     def test_exhaustive_and_sampled_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -255,6 +255,24 @@ class TestDumpFormat:
         with pytest.raises(LinalgError, match="out of range"):
             load_matrix(text)
 
+    def test_non_integer_dim_rejected(self):
+        with pytest.raises(LinalgError, match="integer dim >= 0"):
+            load_matrix("dim=x\n0 0 1 0\n")
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(LinalgError, match="integer dim >= 0"):
+            load_matrix("dim=-1\n0 0 1 0\n")
+
+    @pytest.mark.parametrize("line", ["0 0 1", "0 0 1 0 0"])
+    def test_entry_field_count_rejected(self, line):
+        with pytest.raises(LinalgError, match="4 fields"):
+            load_matrix(f"dim=1\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["0 0 nan 0", "0 0 1 inf", "0 0 -inf 0"])
+    def test_non_finite_entry_rejected(self, line):
+        with pytest.raises(LinalgError, match="not finite"):
+            load_matrix(f"dim=1\n{line}\n")
+
     def test_17_digit_round_trip(self):
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,16 @@ from bcabe.construct import (
     SIGMA_MINUS,
     STATE_CLASSES,
     bell_diagonal,
+    class_projector_unnormalized,
     noisy_state,
 )
-from bcabe.linalg import DensityMatrix, frobenius_distance, hermitian_eigenvalues, tensor
+from bcabe.linalg import (
+    DensityMatrix,
+    apply_qubit_permutation,
+    frobenius_distance,
+    hermitian_eigenvalues,
+    tensor,
+)
 from bcabe.protocol import (
     ProtocolError,
     bell_fidelity,
@@ -209,3 +218,68 @@ class TestDiscriminateSubspace:
             assert p == pytest.approx(outcome.probability, abs=1e-12)
             mixed = sum(b.probability * b.state.matrix for b in matching) / p
             assert frobenius_distance(mixed, outcome.post_state.matrix) < 1e-10
+
+
+def _dense_discriminate_reference(rho: np.ndarray, n: int, kept: tuple[int, int]):
+    """P @ rho @ P per class, then a partial trace over the group, in plain numpy.
+
+    Shares no code with discriminate_subspace: the group projector is embedded
+    with np.kron in (kept, group) order and moved to natural qubit order by an
+    explicit basis-index permutation.
+    """
+    group = [q for q in range(1, n + 1) if q not in kept]
+    order = list(kept) + group
+    gdim = 2 ** len(group)
+    # natural basis index x -> index of the same basis state in (kept, group) order
+    to_ordered = np.zeros(2**n, dtype=int)
+    for x in range(2**n):
+        bits = [(x >> (n - q)) & 1 for q in range(1, n + 1)]
+        to_ordered[x] = sum(bits[q - 1] << (n - 1 - i) for i, q in enumerate(order))
+    to_natural = np.argsort(to_ordered)
+    h = np.arange(gdim)
+    results = []
+    for cls in STATE_CLASSES:
+        big = np.kron(np.eye(4), class_projector_unnormalized(cls, len(group)))
+        proj = big[np.ix_(to_ordered, to_ordered)]
+        op = proj @ rho @ proj
+        reduced = np.zeros((4, 4), dtype=complex)
+        for a in range(4):
+            for b in range(4):
+                reduced[a, b] = op[to_natural[a * gdim + h], to_natural[b * gdim + h]].sum()
+        p = np.trace(op).real
+        results.append((p, reduced / p))
+    return results
+
+
+class TestDiscriminateReference:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_every_kept_pair_matches_dense_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        dm = random_density_matrix(rng, n)
+        for kept in itertools.combinations(range(1, n + 1), 2):
+            group = tuple(q for q in range(1, n + 1) if q not in kept)
+            outcomes = discriminate_subspace(dm, group)
+            expected = _dense_discriminate_reference(dm.matrix, n, kept)
+            assert [o.label for o in outcomes] == list(STATE_CLASSES)
+            for o, (p, post) in zip(outcomes, expected):
+                assert abs(o.probability - p) < 1e-12, kept
+                assert np.abs(o.post_state.matrix - post).max() < 1e-10, kept
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_relabelling_qubits_with_group_leaves_outcomes(self, n):
+        rng = np.random.default_rng(50 + n)
+        dm = random_density_matrix(rng, n)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        for _ in range(4):
+            kept = tuple(sorted(rng.choice(np.arange(1, n + 1), 2, replace=False).tolist()))
+            perm = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+            group = tuple(q for q in range(1, n + 1) if q not in kept)
+            moved = apply_qubit_permutation(dm, perm)
+            outcomes = discriminate_subspace(dm, group)
+            relabelled = discriminate_subspace(moved, tuple(perm[q - 1] for q in group))
+            flipped = perm[kept[0] - 1] > perm[kept[1] - 1]
+            for o, r in zip(outcomes, relabelled):
+                assert r.label == o.label
+                assert abs(r.probability - o.probability) < 1e-12
+                post = swap @ r.post_state.matrix @ swap if flipped else r.post_state.matrix
+                assert np.abs(post - o.post_state.matrix).max() < 1e-10
