@@ -33,10 +33,9 @@ from .linalg import (
     DensityMatrix,
     apply_qubit_permutation,
     frobenius_distance,
+    group_qubits,
     hermitian_eigenvalues,
     partial_transpose,
-    reorder_qubits,
-    tensor,
 )
 from . import protocol
 
@@ -151,31 +150,25 @@ def certify_two_vs_rest_separable(
     and checks that the four product terms rebuild the state. Failure means
     the state has no such four-term form, not that it is entangled.
     """
-    n = rho.qubits
+    outcomes = protocol.bell_measure(rho, pair, tol)
     pair = (min(pair), max(pair))
-    sandwich = protocol.bell_sandwich(rho.matrix, n, pair)
-    weights: dict[BellLabel, float] = {}
-    factors: dict[BellLabel, DensityMatrix | None] = {}
+    weights = {o.label: o.probability for o in outcomes}
+    factors = {o.label: o.post_state for o in outcomes}
     reason = None
-    rest = [q for q in range(1, n + 1) if q not in pair]
-    rebuilt = np.zeros_like(rho.matrix)
-    for label, op in sandwich.items():
-        lam = float(np.trace(op).real)
-        weights[label] = lam
-        if lam > tol.zero_probability:
-            tau = DensityMatrix(n - 2, op / lam)
-            factors[label] = tau
-            lo = float(hermitian_eigenvalues(tau.matrix, tol)[0])
-            if lo < -tol.psd:
-                reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
-            rebuilt = rebuilt + lam * reorder_qubits(
-                tensor(bell_projector(label), tau.matrix), n, list(pair) + rest
-            )
-        else:
-            factors[label] = None
+    # rebuild in the (pair, rest) layout of group_qubits; the Frobenius norm
+    # ignores index order
+    rest_dim = 2 ** (rho.qubits - 2)
+    rebuilt = np.zeros((4, rest_dim, 4, rest_dim), dtype=complex)
+    for label, tau in factors.items():
+        if tau is None:
+            continue
+        lo = float(hermitian_eigenvalues(tau.matrix, tol)[0])
+        if lo < -tol.psd:
+            reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
+        rebuilt += weights[label] * np.einsum("ab,rs->arbs", bell_projector(label), tau.matrix)
     if abs(sum(weights.values()) - 1.0) > tol.probability:
         reason = reason or f"weights sum to {sum(weights.values())!r}"
-    err = frobenius_distance(rebuilt, rho.matrix)
+    err = frobenius_distance(rebuilt, group_qubits(rho.matrix, rho.qubits, pair))
     if err > tol.certificate:
         reason = reason or f"reconstruction error {err:.3e}"
     return SeparabilityCertificate(pair, weights, factors, err, reason is None, reason)

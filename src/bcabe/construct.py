@@ -17,7 +17,7 @@ import numpy as np
 from . import basis
 from .basis import BELL_LABELS, BellLabel, bell_projector, enumerate_p_strings, enumerate_q_strings, ghz_state
 from .config import max_qubits
-from .linalg import DensityMatrix, PAULIS, tensor
+from .linalg import DensityMatrix, PAULIS, group_qubits, tensor
 
 
 class ConstructError(ValueError):
@@ -127,9 +127,12 @@ def pauli_relate(base: DensityMatrix, target: StateClass) -> DensityMatrix:
     """Map rho+ onto `target` by conjugating with one Pauli on the last qubit."""
     if target == RHO_PLUS:
         return base
-    name = PAULI_FOR_LABEL[target.label]
-    u = tensor(np.eye(2 ** (base.qubits - 1), dtype=complex), PAULIS[name])
-    return DensityMatrix(base.qubits, u @ base.matrix @ u.conj().T)
+    n = base.qubits
+    pauli = PAULIS[PAULI_FOR_LABEL[target.label]]
+    # qubits 1..n-1 then qubit n is the natural order, so no reordering back
+    grouped = group_qubits(base.matrix, n, range(1, n))
+    moved = np.einsum("ca,rasb,db->rcsd", pauli, grouped, pauli.conj())
+    return DensityMatrix(n, moved.reshape(2**n, 2**n))
 
 
 def class_projector_unnormalized(cls: StateClass, n: int) -> np.ndarray:

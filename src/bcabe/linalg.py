@@ -129,6 +129,21 @@ def _as_tensor(mat: np.ndarray, n: int) -> np.ndarray:
     return mat.reshape((2,) * (2 * n))
 
 
+def group_qubits(mat: np.ndarray, n: int, front: Sequence[int]) -> np.ndarray:
+    """The matrix as a (2**k, 2**(n-k), 2**k, 2**(n-k)) array over k = len(front).
+
+    Row and column indices are each split into the `front` qubits, in the
+    given order, and the remaining qubits in ascending order.
+    """
+    front = [int(q) for q in front]
+    if len(set(front)) != len(front) or not set(front) <= set(range(1, n + 1)):
+        raise LinalgError(f"qubits {front} are not distinct qubits of 1..{n}")
+    rows = [q - 1 for q in front] + [q - 1 for q in range(1, n + 1) if q not in front]
+    t = _as_tensor(np.asarray(mat, dtype=complex), n)
+    k = len(front)
+    return t.transpose(rows + [n + a for a in rows]).reshape((2**k, 2 ** (n - k)) * 2)
+
+
 def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     """Transpose the indices of the cut's right group; Hermiticity-preserving."""
     if cut.qubits != rho.qubits:
@@ -162,35 +177,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def partial_trace_matrix(mat: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:
-    t = _as_tensor(np.asarray(mat, dtype=complex), n)
-    # contract row with column axis for every traced qubit
-    row_labels = list(range(n))
-    col_labels = [i if (i + 1) not in keep else n + i for i in range(n)]
-    out_labels = [i for i in range(n) if (i + 1) in keep]
-    out_labels += [n + i for i in range(n) if (i + 1) in keep]
-    reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    k = len(keep)
-    return reduced.reshape(2**k, 2**k)
-
-
-def permutation_unitary_axes(n: int, perm: Sequence[int]) -> list[int]:
-    """Tensor-axis order realizing qubit relabeling i -> perm[i-1] (1-based)."""
-    if sorted(perm) != list(range(1, n + 1)):
-        raise LinalgError(f"{perm} is not a permutation of 1..{n}")
-    # qubit occupying output slot j came from input slot inv[j]
-    inv = [0] * n
-    for i, target in enumerate(perm):
-        inv[target - 1] = i
-    return inv
+    return np.einsum("arbr->ab", group_qubits(mat, n, sorted(keep)))
 
 
 def apply_qubit_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
-    """Conjugate by the relabeling unitary sending qubit i to position perm[i-1]."""
-    n = rho.qubits
-    inv = permutation_unitary_axes(n, perm)
-    t = _as_tensor(rho.matrix, n)
-    axes = inv + [n + i for i in inv]
-    return DensityMatrix(n, t.transpose(axes).reshape(rho.dim, rho.dim))
+    """Conjugate by the relabeling unitary sending qubit i to position perm[i-1].
+
+    This is `reorder_qubits` with perm as the order: the qubit in slot i of
+    the input is qubit perm[i-1] of the output.
+    """
+    return DensityMatrix(rho.qubits, reorder_qubits(rho.matrix, rho.qubits, perm))
 
 
 def reorder_qubits(mat: np.ndarray, n: int, order: Sequence[int]) -> np.ndarray:
@@ -201,37 +197,9 @@ def reorder_qubits(mat: np.ndarray, n: int, order: Sequence[int]) -> np.ndarray:
     """
     if sorted(order) != list(range(1, n + 1)):
         raise LinalgError(f"{order} is not a qubit ordering of 1..{n}")
-    slot_of = {q: i for i, q in enumerate(order)}
-    row_axes = [slot_of[q] for q in range(1, n + 1)]
-    axes = row_axes + [n + a for a in row_axes]
-    t = _as_tensor(np.asarray(mat, dtype=complex), n)
-    return t.transpose(axes).reshape(2**n, 2**n)
-
-
-def pair_sandwich(
-    mat: np.ndarray, n: int, pair: tuple[int, int], vec4: np.ndarray
-) -> np.ndarray:
-    """<v| M |v> over a 2-qubit pair, leaving an operator on the other qubits.
-
-    The remaining qubits keep their ascending original order.
-    """
-    i, j = pair
-    if i == j:
-        raise LinalgError("pair qubits must be distinct")
-    if not {i, j} <= set(range(1, n + 1)):
-        raise LinalgError(f"pair {pair} out of range for n={n}")
-    if i > j:
-        i, j = j, i
-    v = np.asarray(vec4, dtype=complex).reshape(2, 2)
-    t = _as_tensor(np.asarray(mat, dtype=complex), n)
-    labels = list(range(2 * n))
-    out = [a for q, a in enumerate(labels[:n], start=1) if q not in (i, j)]
-    out += [a for q, a in enumerate(labels[n:], start=1) if q not in (i, j)]
-    contracted = np.einsum(
-        t, labels, v.conj(), [i - 1, j - 1], v, [n + i - 1, n + j - 1], out
-    )
-    k = n - 2
-    return contracted.reshape(2**k, 2**k)
+    # qubit q of the output sits in input slot `slots[q - 1]`
+    slots = sorted(range(1, n + 1), key=lambda slot: order[slot - 1])
+    return group_qubits(mat, n, slots).reshape(2**n, 2**n)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +212,16 @@ _MAX_SWEEPS = 100
 
 
 def _check_hermitian(mat: np.ndarray) -> np.ndarray:
-    m = np.array(mat, dtype=complex)
+    """A symmetrized copy of a Hermitian matrix; the input is not modified."""
+    m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
-    herm_err = float(np.abs(m - m.conj().T).max())
+    h = m.conj().T
+    herm_err = float(np.abs(m - h).max())
     if herm_err > 1e-10 * scale:
         raise LinalgError(f"matrix is not Hermitian: max deviation {herm_err:.3e}")
-    return (m + m.conj().T) / 2.0
+    return (m + h) / 2.0
 
 
 def _offdiag_norm(a: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .basis import BELL_LABELS, BellLabel, bell_vector
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import STATE_CLASSES, StateClass, class_projector_unnormalized
-from .linalg import DensityMatrix, pair_sandwich
+from .linalg import DensityMatrix, group_qubits
 
 
 class ProtocolError(ValueError):
@@ -70,8 +70,15 @@ def bell_fidelity(rho2: DensityMatrix) -> tuple[BellLabel, float]:
 def bell_sandwich(
     mat: np.ndarray, n: int, pair: tuple[int, int]
 ) -> dict[BellLabel, np.ndarray]:
-    """Unnormalized conditional operators <B_b| M |B_b> over one qubit pair."""
-    return {b: pair_sandwich(mat, n, pair, bell_vector(b)) for b in BELL_LABELS}
+    """Unnormalized conditional operators <B_b| M |B_b> over one qubit pair.
+
+    The remaining qubits keep their ascending original order.
+    """
+    grouped = group_qubits(mat, n, sorted(pair))
+    return {
+        b: np.einsum("arbs,a,b->rs", grouped, bell_vector(b).conj(), bell_vector(b))
+        for b in BELL_LABELS
+    }
 
 
 def _normalize_pair(pair, n) -> tuple[int, int]:
@@ -198,13 +205,7 @@ def discriminate_subspace(
             f"group {group} must be all qubits except one pair of {n}"
         )
     g = len(group)
-    # (kept rows, group rows, kept cols, group cols), each side in ascending order
-    rows = [q - 1 for q in kept + group]
-    split = (
-        rho.matrix.reshape((2,) * (2 * n))
-        .transpose(rows + [n + a for a in rows])
-        .reshape(4, 2**g, 4, 2**g)
-    )
+    split = group_qubits(rho.matrix, n, kept)
     outcomes = []
     for cls in STATE_CLASSES:
         op = np.einsum("agbh,hg->ab", split, class_projector_unnormalized(cls, g))

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bcabe
 from bcabe import linalg
 from bcabe.basis import PHI_PLUS, bell_projector
 from bcabe.linalg import (
@@ -18,6 +22,7 @@ from bcabe.linalg import (
     load_matrix,
     partial_trace,
     partial_transpose,
+    reorder_qubits,
     tensor,
     transpose_qubits,
 )
@@ -142,6 +147,16 @@ class TestPermutation:
         dm = random_density_matrix(rng, 2)
         with pytest.raises(LinalgError):
             apply_qubit_permutation(dm, [1, 1])
+
+    def test_three_cycle_direction(self):
+        # three distinct one-qubit states with dyadic entries, so the
+        # Kronecker products are exact whatever the factor order
+        a = np.array([[1, 0], [0, 0]], dtype=complex)
+        b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        c = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)
+        moved = apply_qubit_permutation(DensityMatrix(3, tensor(a, b, c)), [2, 3, 1])
+        assert np.array_equal(moved.matrix, tensor(c, a, b))
+        assert np.array_equal(reorder_qubits(tensor(a, b, c), 3, [2, 3, 1]), tensor(c, a, b))
 
 
 class TestFrobenius:
@@ -277,3 +292,17 @@ class TestDumpFormat:
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)
         assert load_matrix(dump_matrix(m))[0, 0].real == val
+
+
+class TestQubitLayout:
+    def test_only_linalg_builds_the_qubit_tensor(self):
+        # the qubit-to-index-bit layout is decided in linalg alone; other
+        # modules group qubits through linalg.group_qubits
+        offenders = [
+            f"{path.name}:{i}"
+            for path in sorted(Path(bcabe.__file__).parent.glob("*.py"))
+            if path.name != "linalg.py"
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"\(2,\)\s*\*", line)
+        ]
+        assert offenders == []

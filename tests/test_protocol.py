@@ -283,3 +283,50 @@ class TestDiscriminateReference:
                 assert abs(r.probability - o.probability) < 1e-12
                 post = swap @ r.post_state.matrix @ swap if flipped else r.post_state.matrix
                 assert np.abs(post - o.post_state.matrix).max() < 1e-10
+
+
+def _dense_bell_measure_reference(rho: np.ndarray, n: int, pair: tuple[int, int]):
+    """Bell projector on the pair, then a partial trace over it, in plain numpy.
+
+    Shares no code with bell_measure: the projector is embedded with np.kron
+    in (pair, rest) order and moved to natural qubit order by an explicit
+    basis-index permutation.
+    """
+    rest = [q for q in range(1, n + 1) if q not in pair]
+    order = list(pair) + rest
+    rdim = 2 ** len(rest)
+    # natural basis index x -> index of the same basis state in (pair, rest) order
+    to_ordered = np.zeros(2**n, dtype=int)
+    for x in range(2**n):
+        bits = [(x >> (n - q)) & 1 for q in range(1, n + 1)]
+        to_ordered[x] = sum(bits[q - 1] << (n - 1 - i) for i, q in enumerate(order))
+    to_natural = np.argsort(to_ordered)
+    k = np.arange(4)
+    results = []
+    for label in BELL_LABELS:
+        big = np.kron(bell_projector(label), np.eye(rdim))
+        proj = big[np.ix_(to_ordered, to_ordered)]
+        op = proj @ rho @ proj
+        reduced = np.zeros((rdim, rdim), dtype=complex)
+        for a in range(rdim):
+            for b in range(rdim):
+                reduced[a, b] = op[to_natural[k * rdim + a], to_natural[k * rdim + b]].sum()
+        p = np.trace(op).real
+        results.append((p, reduced / p))
+    return results
+
+
+class TestBellMeasureReference:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_every_pair_matches_dense_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        dm = random_density_matrix(rng, n)
+        cycled = apply_qubit_permutation(dm, list(range(2, n + 1)) + [1])
+        assert np.abs(cycled.matrix - dm.matrix).max() > 1e-3  # not permutation symmetric
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            outcomes = bell_measure(dm, pair)
+            expected = _dense_bell_measure_reference(dm.matrix, n, pair)
+            assert [o.label for o in outcomes] == list(BELL_LABELS)
+            for o, (p, post) in zip(outcomes, expected):
+                assert abs(o.probability - p) < 1e-12, pair
+                assert np.abs(o.post_state.matrix - post).max() < 1e-10, pair
