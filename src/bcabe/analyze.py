@@ -31,11 +31,11 @@ from .construct import (
 from .linalg import (
     Bipartition,
     DensityMatrix,
-    apply_qubit_permutation,
     frobenius_distance,
     group_qubits,
     hermitian_eigenvalues,
     partial_transpose,
+    reorder_qubits,
 )
 from . import protocol
 
@@ -183,8 +183,8 @@ def check_permutation_invariance(
     for i, j in itertools.combinations(range(1, n + 1), 2):
         perm = list(range(1, n + 1))
         perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-        moved = apply_qubit_permutation(rho, perm)
-        worst = max(worst, frobenius_distance(moved.matrix, rho.matrix))
+        moved = reorder_qubits(rho.matrix, n, perm)
+        worst = max(worst, frobenius_distance(moved, rho.matrix))
     return worst < tol.invariance, worst
 
 
@@ -193,6 +193,10 @@ class BellDiagonalVerdict:
     w_max: float
     entangled: bool
     min_pt_eigenvalue: float
+    ppt_verdicts: tuple[CutVerdict, ...]  # of pi+, pi-, gamma+, gamma-
+
+
+_PAIR_CUT = Bipartition.of((1,), 2)
 
 
 def bell_diagonal_entangled(
@@ -200,17 +204,22 @@ def bell_diagonal_entangled(
 ) -> BellDiagonalVerdict:
     """Largest-weight verdict w > 1/2, cross-checked against the PPT test.
 
-    The two routes must agree whenever w_max sits clearly off the 1/2
-    boundary; disagreement there raises, being an internal inconsistency.
+    The rule and the ("pi", +1) verdict must agree whenever w_max sits clearly
+    off the 1/2 boundary; disagreement there raises, being an internal
+    inconsistency. The verdicts of all four Bell-diagonal forms are returned.
     """
     w = weights.w_max
     rule = w > 0.5
-    verdict = is_ppt(bell_diagonal(weights, "pi", +1), Bipartition.of((1,), 2), tol)
+    verdicts = tuple(
+        is_ppt(bell_diagonal(weights, family, sign), _PAIR_CUT, tol)
+        for family, sign in (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
+    )
+    verdict = verdicts[0]
     if (not verdict.ppt) != rule and abs(w - 0.5) > 10 * tol.ppt:
         raise AnalyzeError(
             f"w_max rule ({rule}) and PPT test ({not verdict.ppt}) disagree at w={w!r}"
         )
-    return BellDiagonalVerdict(w, rule, verdict.min_eigenvalue)
+    return BellDiagonalVerdict(w, rule, verdict.min_eigenvalue, verdicts)
 
 
 @dataclass(frozen=True)
@@ -383,9 +392,8 @@ def classify_abe(
 
     t0 = time.perf_counter()
     unlock = protocol.unlock_sequential(rho, (1, 2), tol=tol)
-    pair_cut = Bipartition.of((1,), 2)
     all_entangled = all(
-        b.state is not None and not is_ppt(b.state, pair_cut, tol).ppt
+        b.state is not None and not is_ppt(b.state, _PAIR_CUT, tol).ppt
         for b in unlock.branches
     )
     activation = ActivationEvidence(

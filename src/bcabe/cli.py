@@ -22,15 +22,14 @@ from . import analyze, protocol
 from .basis import BasisError
 from .config import DEFAULT_TOLERANCES, MAX_QUBITS_ENV, Tolerances, max_qubits
 from .construct import (
+    SCAN_LINES,
     ConstructError,
     NoisyWeights,
     StateClass,
-    bell_diagonal,
     noisy_state,
     projector_direct,
 )
 from .linalg import (
-    Bipartition,
     DensityMatrix,
     LinalgError,
     dump_matrix,
@@ -236,7 +235,6 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     tol = cfg.tolerances
-    t0 = time.perf_counter()
     states, checks = analyze.check_family(cfg.n, tol)
     # one state's evidence at a time: it holds every certificate's factor states
     per_state = [
@@ -244,7 +242,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         for cls, rho in states.items()
     ]
     checks += [c for lines in zip(*per_state) for c in lines]
-    elapsed = time.perf_counter() - t0
     failed = [c for c in checks if not c.passed]
     report = {
         "command": "verify",
@@ -256,8 +253,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         ],
         "tolerances": cfg.tolerances.as_dict(),
     }
-    if cfg.include_timings:
-        report["timings"] = {"total": elapsed}
     return report, not failed
 
 
@@ -335,19 +330,9 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
     agree_everywhere = True
     for i in range(cfg.points):
         w = i / (cfg.points - 1)
-        if cfg.line == "two-term":
-            weights = NoisyWeights(w, 1.0 - w, 0.0, 0.0)
-        elif cfg.line == "werner":
-            rest = (1.0 - w) / 3.0
-            weights = NoisyWeights(w, rest, rest, rest)
-        else:
-            raise ConfigError(f"unknown scan line {cfg.line!r} (want two-term|werner)")
+        weights = SCAN_LINES[cfg.line](w)
         verdict = analyze.bell_diagonal_entangled(weights, tol)
-        cut = Bipartition.of((1,), 2)
-        ppt_rows = [
-            analyze.is_ppt(bell_diagonal(weights, family, sign), cut, tol)
-            for family, sign in (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
-        ]
+        ppt_rows = verdict.ppt_verdicts
         agree = all((not v.ppt) == verdict.entangled for v in ppt_rows)
         agree_everywhere = agree_everywhere and agree
         unlocked = protocol.unlock_sequential(noisy_state(weights, cfg.n), (1, 2), tol=tol)
@@ -485,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noisy-scan", help="sweep mixture weights and locate the w>1/2 transition")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--line", choices=("two-term", "werner"), default="two-term")
+    p.add_argument("--line", choices=tuple(SCAN_LINES), default="two-term")
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--tol-ppt", type=float, default=None)
     p.add_argument("--json", metavar="PATH")
@@ -503,7 +488,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        t0 = time.perf_counter()
         report, ok = COMMANDS[cfg.command](cfg)
+        if cfg.include_timings and "timings" not in report:
+            report["timings"] = {"total": time.perf_counter() - t0}
         payload = render_json(report) + "\n"
     except (ConfigError, ConstructError, BasisError, LinalgError, AnalyzeError, ProtocolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

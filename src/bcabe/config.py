@@ -1,7 +1,10 @@
 """Shared numerical tolerances and size limits.
 
-Every threshold used by the package lives in one frozen record so the test
-suite, the CLI and the library agree on what "equal" and "nonnegative" mean.
+The thresholds of the checks live in one frozen record so the test suite,
+the CLI and the library agree on what "equal" and "nonnegative" mean. Four
+fixed margins stay outside it: the rank cut 1e-8 (`cli.cmd_construct`), the
+weight sum 1e-12 (`construct.NoisyWeights`), 1e-10 * scale
+(`linalg._check_hermitian`) and the tie margin 1e-15 (`protocol.bell_fidelity`).
 """
 
 from __future__ import annotations

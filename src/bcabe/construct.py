@@ -2,9 +2,10 @@
 
 Each even qubit count n >= 4 carries four mutually orthogonal states
 rho+, rho-, sigma+, sigma- (normalized projectors of rank 2**(n-2)).
-They can be built three independent ways: summing GHZ-basis projectors
-directly, conjugating rho+ by a single Pauli on the last qubit, or through
-the Bell-correlated recursion that peels qubits (1, 2) off as a Bell pair.
+They can be built three independent ways: an index rule that writes the
+GHZ-pair entries directly (and every mixture of the four), conjugating rho+
+by a single Pauli on the last qubit, or the Bell-correlated recursion that
+peels qubits (1, 2) off as a Bell pair.
 n = 2 is the degenerate base where the four states are the Bell projectors.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .basis import BELL_LABELS, BellLabel, bell_projector, enumerate_p_strings, enumerate_q_strings, ghz_state
+from .basis import BELL_LABELS, BellLabel, bell_projector
 from .config import max_qubits
 from .linalg import DensityMatrix, PAULIS, group_qubits, tensor
 
@@ -86,28 +87,27 @@ def _check_size(n: int) -> None:
         )
 
 
-def ghz_family(cls: StateClass, n: int) -> list[basis.PureStateVector]:
-    """The 2**(n-2) GHZ-basis members spanning the class subspace, in string order."""
+def _mixture(weights: tuple[float, float, float, float], n: int) -> DensityMatrix:
+    """x+ rho+ + x- rho- + y+ sigma+ + y- sigma-, entry by entry.
+
+    Index i pairs with ~i = (2**n - 1) XOR i. At even n both share the
+    zero-count parity that picks rho or sigma, whose weights (w+, w-) give
+    (i, i) = w+ h + w- h and (i, ~i) = w+ h - w- h, h = 2**-(n-1).
+    """
     _check_size(n)
-    strings = enumerate_p_strings(n) if cls.family == "rho" else enumerate_q_strings(n)
-    return [ghz_state(s, cls.sign) for s in strings]
+    idx = np.arange(2**n)
+    parity = sum((idx >> bit) & 1 for bit in range(n)) & 1
+    family = np.reshape(weights, (2, 2)) + 0.0  # rows rho, sigma; + 0.0: no -0.0 entry
+    plus, minus = family[parity].T * 0.5 ** (n - 1)  # w+ h, w- h
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    m[idx, idx] = plus + minus
+    m[idx, idx[::-1]] = plus - minus
+    return DensityMatrix(n, m)
 
 
 def projector_direct(cls: StateClass, n: int) -> DensityMatrix:
-    """Normalized subspace projector from the GHZ-basis enumeration."""
-    _check_size(n)
-    members = ghz_family(cls, n)
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    half = 0.5 / len(members)
-    for state in members:
-        (i, ai), (j, aj) = state.amplitudes.items()
-        s = 1.0 if (ai * np.conj(aj)).real > 0 else -1.0
-        m[i, i] += half
-        m[j, j] += half
-        m[i, j] += s * half
-        m[j, i] += s * half
-    return DensityMatrix(n, m)
+    """Normalized projector onto the class's GHZ pairs (|x> + sign |~x>)/sqrt(2)."""
+    return _mixture(tuple(float(c == cls) for c in STATE_CLASSES), n)
 
 
 def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
@@ -163,9 +163,6 @@ class NoisyWeights:
     def w_max(self) -> float:
         return max(self.as_tuple())
 
-    def weight_for(self, cls: StateClass) -> float:
-        return dict(zip(STATE_CLASSES, self.as_tuple()))[cls]
-
     @classmethod
     def parse(cls, text: str) -> "NoisyWeights":
         parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
@@ -181,12 +178,14 @@ class NoisyWeights:
 
 def noisy_state(weights: NoisyWeights, n: int) -> DensityMatrix:
     """Convex mixture x+ rho+ + x- rho- + y+ sigma+ + y- sigma-."""
-    _check_size(n)
-    m = sum(
-        weights.weight_for(cls) * projector_direct(cls, n).matrix
-        for cls in STATE_CLASSES
-    )
-    return DensityMatrix(n, m)
+    return _mixture(weights.as_tuple(), n)
+
+
+# the two noisy-scan lines through the weight simplex, w -> weights
+SCAN_LINES = {
+    "two-term": lambda w: NoisyWeights(w, 1.0 - w, 0.0, 0.0),
+    "werner": lambda w: NoisyWeights(w, *((1.0 - w) / 3.0,) * 3),
+}
 
 
 def bell_diagonal(weights: NoisyWeights, family: str, sign: int) -> DensityMatrix:

@@ -200,9 +200,9 @@ def discriminate_subspace(
     n = rho.qubits
     group = tuple(sorted(int(q) for q in group))
     kept = tuple(q for q in range(1, n + 1) if q not in group)
-    if len(kept) != 2 or len(set(group)) != len(group):
+    if len(kept) != 2 or sorted(group + kept) != list(range(1, n + 1)):
         raise ProtocolError(
-            f"group {group} must be all qubits except one pair of {n}"
+            f"group {group} must be all qubits of 1..{n} except one pair"
         )
     g = len(group)
     split = group_qubits(rho.matrix, n, kept)

@@ -15,6 +15,7 @@ from bcabe.construct import (
     NoisyWeights,
     RHO_PLUS,
     STATE_CLASSES,
+    bell_diagonal,
     noisy_state,
 )
 from bcabe.linalg import Bipartition, DensityMatrix, LinalgError, frobenius_distance, tensor
@@ -196,6 +197,16 @@ class TestBellDiagonalEntangled:
     def test_cross_family_two_term(self):
         v = bell_diagonal_entangled(NoisyWeights(0.7, 0.0, 0.3, 0.0))
         assert v.entangled and v.w_max == 0.7
+
+    def test_verdicts_of_all_four_forms(self):
+        w = NoisyWeights(0.7, 0.0, 0.3, 0.0)
+        v = bell_diagonal_entangled(w)
+        forms = (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
+        assert len(v.ppt_verdicts) == 4
+        for verdict, (family, sign) in zip(v.ppt_verdicts, forms):
+            again = is_ppt(bell_diagonal(w, family, sign), Bipartition.of((1,), 2))
+            assert verdict == again
+        assert v.min_pt_eigenvalue == v.ppt_verdicts[0].min_eigenvalue
 
     def test_rule_agrees_with_ppt_on_simplex_scan(self):
         rng = np.random.default_rng(23)

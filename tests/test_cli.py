@@ -192,6 +192,27 @@ class TestReport:
         assert set(data["timings"]) == {"cut_scan", "permutation", "certificates", "activation"}
 
 
+class TestTimings:
+    ARGV = {
+        "construct": ["construct", "--class", "rho+", "--n", "4"],
+        "verify": ["verify", "--n", "4"],
+        "unlock": ["unlock", "--class", "rho+", "--n", "4"],
+        "discriminate": ["discriminate", "--class", "rho+", "--n", "4"],
+        "noisy-scan": ["noisy-scan", "--n", "4", "--points", "3"],
+        "report": ["report", "--class", "rho+", "--n", "4"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_every_command_honours_timings(self, tmp_path, capsys, command):
+        assert set(self.ARGV) == set(cli.COMMANDS)
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        run(self.ARGV[command] + ["--json", str(plain)])
+        run(self.ARGV[command] + ["--timings", "--json", str(timed)])
+        assert "timings" not in json.loads(plain.read_text())
+        timings = json.loads(timed.read_text())["timings"]
+        assert timings and all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from bcabe.basis import BELL_LABELS, BellLabel, bell_projector
+from bcabe.basis import (
+    BELL_LABELS,
+    BellLabel,
+    bell_projector,
+    enumerate_p_strings,
+    enumerate_q_strings,
+    ghz_state,
+)
 from bcabe.construct import (
     ConstructError,
     NoisyWeights,
@@ -214,6 +221,50 @@ class TestNoisyState:
             + tensor(psi_m, four[SIGMA_PLUS])
         )
         assert np.abs(got - expansion).max() < 1e-14
+
+
+def _sign_bits(m):
+    return np.signbit(m.real), np.signbit(m.imag)
+
+
+class TestIndexRule:
+    """The index-rule construction against the bit-string definition."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_projector_direct_matches_ghz_reference(self, n):
+        for cls in STATE_CLASSES:
+            strings = enumerate_p_strings(n) if cls.family == "rho" else enumerate_q_strings(n)
+            ref = sum(ghz_state(s, cls.sign).projector() for s in strings) / 2 ** (n - 2)
+            got = projector_direct(cls, n).matrix
+            assert np.array_equal(ref != 0, got != 0)
+            assert np.array_equal(np.sign(ref.real), np.sign(got.real))
+            assert np.abs(got - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_noisy_state_is_the_weighted_class_sum_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        draws = [
+            (1.0, 0.0, 0.0, 0.0),
+            (0.25, 0.25, 0.25, 0.25),
+            (0.5, 0.5, 0.0, 0.0),
+            (0.0, 0.5, 0.0, 0.5),
+            (0.5, 0.5, 1e-310, 0.0),
+            (0.0, 5e-324, 1.0, 0.0),
+            (0.553, 0.2, 0.147, 0.1),
+            (0.7, 0.1, 0.1, 0.1),
+            (-0.0, -0.0, 0.5, 0.5),
+            (0.5, -0.0, 0.5, 0.0),
+        ]
+        draws += [tuple(rng.dirichlet(np.ones(4)).tolist()) for _ in range(6)]
+        draws += [tuple(rng.permutation([0.6, 0.4, 0.0, 0.0]).tolist()) for _ in range(3)]
+        classes = {cls: projector_direct(cls, n).matrix for cls in STATE_CLASSES}
+        for vals in draws:
+            w = NoisyWeights(*vals)
+            ref = sum(wc * classes[cls] for wc, cls in zip(w.as_tuple(), STATE_CLASSES))
+            got = noisy_state(w, n).matrix
+            assert np.array_equal(got, ref), vals
+            for a, b in zip(_sign_bits(got), _sign_bits(ref)):
+                assert np.array_equal(a, b), vals
 
 
 class TestBellDiagonal:

@@ -201,6 +201,11 @@ class TestDiscriminateSubspace:
         with pytest.raises(ProtocolError):
             discriminate_subspace(class_states[(RHO_PLUS, 4)], (2, 3, 4))
 
+    @pytest.mark.parametrize("group", [(0, 3, 4, 5, 6), (-1, 0, 3, 4, 5, 6)])
+    def test_group_members_must_be_qubits(self, class_states, group):
+        with pytest.raises(ProtocolError):
+            discriminate_subspace(class_states[(RHO_PLUS, 6)], group)
+
     def test_agrees_with_unlock_marginal_on_random_state(self):
         # grouping unlock branches by the xor of their labels reproduces the
         # four-outcome subspace discrimination, for arbitrary input states
