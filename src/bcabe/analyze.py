@@ -10,7 +10,6 @@ actually have.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -67,66 +66,26 @@ def is_ppt(
     return CutVerdict(cut, min_eig, min_eig >= -threshold, negativity)
 
 
-def _all_cuts(n: int):
-    rest = range(2, n + 1)
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            yield Bipartition.of((1,) + extra, n)
-
-
-def _reduced_cuts(n: int):
-    for k in range(1, n // 2 + 1):
-        yield Bipartition.of(tuple(range(1, k + 1)), n)
-
-
-def scan_all_cuts(
-    rho: DensityMatrix,
-    mode: str = "auto",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    seed: int | None = None,
-    samples_per_size: int = 2,
-) -> list[CutVerdict]:
-    """One verdict per unordered bipartition (or per representative).
-
-    mode 'exhaustive' enumerates all 2**(n-1) - 1 cuts and is capped at n = 8;
-    'reduced' checks one representative per side size (justified once
-    permutation invariance is established); 'sampled' adds seeded random cuts
-    per size on top of the representatives. 'auto' picks exhaustive up to 8
-    and reduced above.
-    """
-    n = rho.qubits
-    if mode == "auto":
-        mode = "exhaustive" if n <= 8 else "reduced"
-    if mode == "exhaustive":
-        if n > 8:
-            raise AnalyzeError(
-                f"exhaustive scan of {2**(n-1) - 1} cuts refused at n={n}; "
-                "use mode='reduced' or 'sampled'"
-            )
-        cuts = list(_all_cuts(n))
-    elif mode == "reduced":
-        cuts = list(_reduced_cuts(n))
-    elif mode == "sampled":
-        rng = random.Random(0 if seed is None else seed)
-        chosen = {c.left for c in _reduced_cuts(n)}
-        for k in range(1, n // 2 + 1):
-            pool = [c for c in itertools.combinations(range(1, n + 1), k)]
-            for _ in range(samples_per_size):
-                chosen.add(tuple(sorted(rng.choice(pool))))
-        # keep one representative per unordered cut
-        cuts = []
-        seen = set()
-        for left in sorted(chosen, key=lambda s: (len(s), s)):
-            cut = Bipartition.of(left, n)
-            key = min(cut.left, cut.right)
-            if key not in seen:
-                seen.add(key)
-                cuts.append(cut)
+def _cuts(n: int) -> list[Bipartition]:
+    # both lists come out sorted by (left size, left)
+    if n <= 8:
+        lefts = [(1,) + extra for r in range(n - 1) for extra in itertools.combinations(range(2, n + 1), r)]
     else:
-        raise AnalyzeError(f"unknown scan mode {mode!r}")
-    cuts.sort(key=lambda c: (len(c.left), c.left))
+        lefts = [tuple(range(1, k + 1)) for k in range(1, n // 2 + 1)]
+    return [Bipartition.of(left, n) for left in lefts]
+
+
+def scan_all_cuts(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> list[CutVerdict]:
+    """One verdict per cut, sorted by (left size, left); the cuts depend on n alone.
+
+    Up to n = 8 every unordered cut is scanned, 2**(n-1) - 1 of them, each
+    with qubit 1 on the left. Above n = 8 one representative {1..k} | rest is
+    scanned per side size k = 1..n/2: on a permutation-invariant state every
+    cut of a given side size has the same verdict, and gather_evidence checks
+    that invariance separately.
+    """
     rho.validate(tol)
-    return [is_ppt(rho, cut, tol) for cut in cuts]
+    return [is_ppt(rho, cut, tol) for cut in _cuts(rho.qubits)]
 
 
 @dataclass(frozen=True)
@@ -177,12 +136,18 @@ def certify_two_vs_rest_separable(
 def check_permutation_invariance(
     rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[bool, float]:
-    """Max Frobenius deviation over all transpositions (they generate S_n)."""
+    """Max Frobenius deviation over the n - 1 transpositions (1 j), j = 2..n.
+
+    They generate S_n, so a state fixed by each of them is fixed by every
+    relabelling and the verdict is the one over all n! relabellings. A
+    non-invariant input may report a smaller worst deviation than the worst
+    over all relabellings.
+    """
     n = rho.qubits
     worst = 0.0
-    for i, j in itertools.combinations(range(1, n + 1), 2):
+    for j in range(2, n + 1):
         perm = list(range(1, n + 1))
-        perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+        perm[0], perm[j - 1] = j, 1
         moved = reorder_qubits(rho.matrix, n, perm)
         worst = max(worst, frobenius_distance(moved, rho.matrix))
     return worst < tol.invariance, worst
@@ -330,12 +295,7 @@ def certificate_pairs(n: int) -> list[tuple[int, int]]:
     return [(1, 2), (2, n - 1), (n - 1, n)]
 
 
-def gather_evidence(
-    rho: DensityMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    scan_mode: str = "auto",
-    seed: int | None = None,
-) -> StateEvidence:
+def gather_evidence(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> StateEvidence:
     """Cut scan, permutation invariance and pair certificates, timed per stage.
 
     Raises if a certificate proves a pair cut separable that the scan found NPT.
@@ -346,7 +306,7 @@ def gather_evidence(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    verdicts = tuple(scan_all_cuts(rho, scan_mode, tol, seed=seed))
+    verdicts = tuple(scan_all_cuts(rho, tol))
     timings["cut_scan"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -379,8 +339,6 @@ def classify_abe(
     rho: DensityMatrix,
     descriptor: str = "state",
     tol: Tolerances = DEFAULT_TOLERANCES,
-    scan_mode: str = "auto",
-    seed: int | None = None,
 ) -> AbeReport:
     """Full checklist: the state's evidence, then activation.
 
@@ -388,7 +346,7 @@ def classify_abe(
     pair-vs-rest cut, permutation invariance, and protocol evidence that every
     unlock branch leaves the kept pair entangled.
     """
-    evidence = gather_evidence(rho, tol, scan_mode, seed)
+    evidence = gather_evidence(rho, tol)
 
     t0 = time.perf_counter()
     unlock = protocol.unlock_sequential(rho, (1, 2), tol=tol)

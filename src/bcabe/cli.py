@@ -19,25 +19,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analyze, protocol
-from .basis import BasisError
 from .config import DEFAULT_TOLERANCES, MAX_QUBITS_ENV, Tolerances, max_qubits
 from .construct import (
     SCAN_LINES,
-    ConstructError,
     NoisyWeights,
     StateClass,
     noisy_state,
     projector_direct,
 )
-from .linalg import (
-    DensityMatrix,
-    LinalgError,
-    dump_matrix,
-    format_float,
-    hermitian_eigenvalues,
-)
-from .protocol import ProtocolError
-from .analyze import AnalyzeError
+from .linalg import DensityMatrix, dump_matrix, format_float, hermitian_eigenvalues
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -130,8 +120,6 @@ class RunConfig:
     tolerances: Tolerances = DEFAULT_TOLERANCES
     json_path: str | None = None
     dump_path: str | None = None
-    scan_mode: str = "auto"
-    seed: int | None = None
     line: str = "two-term"
     points: int = 101
     include_timings: bool = False
@@ -194,8 +182,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tolerances=tol,
         json_path=getattr(args, "json", None),
         dump_path=getattr(args, "dump", None),
-        scan_mode=getattr(args, "scan_mode", "auto"),
-        seed=getattr(args, "seed", None),
         line=getattr(args, "line", "two-term"),
         points=points,
         include_timings=getattr(args, "timings", False),
@@ -238,7 +224,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     states, checks = analyze.check_family(cfg.n, tol)
     # one state's evidence at a time: it holds every certificate's factor states
     per_state = [
-        analyze.gather_evidence(rho, tol, cfg.scan_mode, cfg.seed).checks(cls.descriptor)
+        analyze.gather_evidence(rho, tol).checks(cls.descriptor)
         for cls, rho in states.items()
     ]
     checks += [c for lines in zip(*per_state) for c in lines]
@@ -371,7 +357,7 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
 
 def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
-    rep = analyze.classify_abe(state, cfg.descriptor, cfg.tolerances, cfg.scan_mode, cfg.seed)
+    rep = analyze.classify_abe(state, cfg.descriptor, cfg.tolerances)
     cuts = [
         {
             "left": list(v.cut.left),
@@ -431,14 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scan_args(p):
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exhaustive", dest="scan_mode", action="store_const", const="exhaustive",
-                          default="auto", help="force the exhaustive cut scan")
-        mode.add_argument("--sampled", dest="scan_mode", action="store_const", const="sampled",
-                          help="use the sampled cut scan")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled modes only")
-
     def add_state_args(p):
         p.add_argument("--class", dest="state_class", metavar="CLS",
                        help="rho+ | rho- | sigma+ | sigma-")
@@ -457,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-ppt", type=float, default=None)
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--timings", action="store_true")
-    add_scan_args(p)
 
     p = sub.add_parser("unlock", help="sequential pairwise Bell measurements")
     add_state_args(p)
@@ -478,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full classification report for one state")
     add_state_args(p)
-    add_scan_args(p)
 
     return parser
 
@@ -493,12 +469,12 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.include_timings and "timings" not in report:
             report["timings"] = {"total": time.perf_counter() - t0}
         payload = render_json(report) + "\n"
-    except (ConfigError, ConstructError, BasisError, LinalgError, AnalyzeError, ProtocolError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if cfg.json_path:
+            with open(cfg.json_path, "w") as fh:
+                fh.write(payload)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
-    if cfg.json_path:
-        with open(cfg.json_path, "w") as fh:
-            fh.write(payload)
     text = "\n".join(render_text(report)) + "\n"
     stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout
     stream.write(text)

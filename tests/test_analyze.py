@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bcabe.analyze import (
-    AnalyzeError,
     bell_diagonal_entangled,
     certify_two_vs_rest_separable,
     check_permutation_invariance,
@@ -105,20 +104,15 @@ class TestScanAllCuts:
         dm = DensityMatrix(4, tensor(*parts))
         assert all(v.ppt for v in scan_all_cuts(dm))
 
-    def test_exhaustive_refused_above_cap(self):
-        dm = DensityMatrix(10, np.eye(1024) / 1024)
-        with pytest.raises(AnalyzeError):
-            scan_all_cuts(dm, mode="exhaustive")
-
-    def test_reduced_and_sampled_modes(self):
-        dm = DensityMatrix(10, np.eye(1024) / 1024)
-        reduced = scan_all_cuts(dm, mode="reduced")
-        assert [v.cut.left for v in reduced] == [
-            tuple(range(1, k + 1)) for k in range(1, 6)
-        ]
-        sampled = scan_all_cuts(dm, mode="sampled", seed=3, samples_per_size=1)
-        assert len(sampled) >= len(reduced)
-        assert all(v.ppt for v in sampled)
+    def test_cut_rule(self):
+        for n in (4, 6, 8):
+            cuts = [v.cut for v in scan_all_cuts(DensityMatrix(n, np.eye(2**n) / 2**n))]
+            assert len(cuts) == 2 ** (n - 1) - 1
+            assert len({frozenset((c.left, c.right)) for c in cuts}) == len(cuts)
+            assert [c.left for c in cuts] == sorted((c.left for c in cuts), key=lambda s: (len(s), s))
+        verdicts = scan_all_cuts(DensityMatrix(10, np.eye(1024) / 1024))
+        assert [v.cut.left for v in verdicts] == [tuple(range(1, k + 1)) for k in range(1, 6)]
+        assert all(v.ppt for v in verdicts)
 
 
 class TestSeparabilityCertificate:
@@ -181,6 +175,14 @@ class TestPermutationInvariance:
         dm = DensityMatrix(4, tensor(bell_projector(BELL_LABELS[0]), ket00))
         ok, dev = check_permutation_invariance(dm)
         assert not ok and dev > 0.1
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_single_excitation_detected_on_every_qubit(self, n):
+        for k in range(2, n + 1):
+            m = np.zeros((2**n, 2**n), dtype=complex)
+            m[2 ** (n - k), 2 ** (n - k)] = 1.0  # |0..1..0><0..1..0|, the 1 on qubit k
+            ok, dev = check_permutation_invariance(DensityMatrix(n, m))
+            assert not ok and dev > 0.1, k
 
 
 class TestBellDiagonalEntangled:
@@ -262,7 +264,7 @@ def test_ten_qubits_behind_env_flag(monkeypatch):
     monkeypatch.setenv("BCABE_MAX_N", "10")
     dm = projector_recursive(RHO_PLUS, 10)
     assert abs(dm.trace() - 1.0) < 1e-12
-    verdicts = scan_all_cuts(dm, mode="reduced")
+    verdicts = scan_all_cuts(dm)
     for v in verdicts:
         size = len(v.cut.left)
         if size % 2:  # odd cuts are NPT with the same negativity as smaller sizes

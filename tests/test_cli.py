@@ -241,6 +241,27 @@ class TestDeterminism:
         assert not path.exists()
 
 
+class TestOutputErrors:
+    def test_json_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert run(["verify", "--n", "4", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "Traceback" not in err and out == ""
+
+    def test_dump_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "m.txt"
+        assert run(["construct", "--class", "rho+", "--n", "4", "--dump", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "verify", exhausted)
+        assert run(["verify", "--n", "4"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 class TestConfigErrors:
     def test_odd_n(self, capsys):
         assert run(["construct", "--class", "rho+", "--n", "5"]) == 2
@@ -276,9 +297,13 @@ class TestConfigErrors:
         assert run(["noisy-scan", "--n", "4", "--points", points]) == 2
         assert "--points must be between 3 and 10001" in capsys.readouterr().err
 
-    def test_exhaustive_and_sampled_conflict(self, capsys):
+    @pytest.mark.parametrize(
+        "flag", [["--exhaustive"], ["--sampled"], ["--seed", "3"]], ids=["exhaustive", "sampled", "seed"]
+    )
+    @pytest.mark.parametrize("command", [["verify"], ["report", "--class", "rho+"]], ids=["verify", "report"])
+    def test_exhaustive_and_sampled_conflict(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["verify", "--n", "4", "--exhaustive", "--sampled"])
+            run(command + ["--n", "4"] + flag)
         assert exc.value.code == 2
 
     def test_usage_error_from_argparse(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcabe.basis import BELL_LABELS, PHI_MINUS, PHI_PLUS, PSI_MINUS, bell_projector
+from bcabe.config import DEFAULT_TOLERANCES
 from bcabe.construct import (
     NoisyWeights,
     RHO_PLUS,
@@ -12,6 +13,7 @@ from bcabe.construct import (
     bell_diagonal,
     class_projector_unnormalized,
     noisy_state,
+    projector_direct,
 )
 from bcabe.linalg import (
     DensityMatrix,
@@ -70,6 +72,16 @@ class TestBellMeasure:
             assert o.probability == pytest.approx(0.25)
         phi_minus = outcomes[1]
         assert frobenius_distance(phi_minus.post_state.matrix, bell_projector(PHI_MINUS)) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_class_bell_correlation_on_every_pair(self, n, class_states):
+        for cls in STATE_CLASSES:
+            for pair in itertools.combinations(range(1, n + 1), 2):
+                for o in bell_measure(class_states[(cls, n)], pair):
+                    assert abs(o.probability - 0.25) < 1e-12, (cls, pair, o.label)
+                    expected = projector_direct(cls ^ o.label, n - 2).matrix
+                    err = frobenius_distance(o.post_state.matrix, expected)
+                    assert err < DEFAULT_TOLERANCES.equality, (cls, pair, o.label)
 
     def test_probabilities_sum_to_one_random(self):
         rng = np.random.default_rng(31)
