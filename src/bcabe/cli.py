@@ -32,6 +32,7 @@ from .linalg import DensityMatrix, dump_matrix, format_float, hermitian_eigenval
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_POINTS = 10001  # noisy-scan grid: w in steps of 1e-4
+DUMP_TEXT = "dump_text"  # report key carrying construct's matrix dump to main
 
 
 class ConfigError(ValueError):
@@ -198,12 +199,6 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     state.validate(cfg.tolerances)
     eigs = hermitian_eigenvalues(state.matrix, cfg.tolerances)
     rank = int((eigs > 1e-8).sum())
-    dump = dump_matrix(state.matrix)
-    if cfg.dump_path:
-        with open(cfg.dump_path, "w") as fh:
-            fh.write(dump)
-    else:
-        sys.stdout.write(dump)
     report = {
         "command": "construct",
         "state": cfg.descriptor,
@@ -215,6 +210,8 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
         "dump": cfg.dump_path or "stdout",
         "checks": ["trace-normalization", "rank"],
         "tolerances": cfg.tolerances.as_dict(),
+        # written by main once the JSON report is out, then dropped from it
+        DUMP_TEXT: dump_matrix(state.matrix),
     }
     return report, True
 
@@ -466,16 +463,22 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         t0 = time.perf_counter()
         report, ok = COMMANDS[cfg.command](cfg)
+        dump = report.pop(DUMP_TEXT, None)
         if cfg.include_timings and "timings" not in report:
             report["timings"] = {"total": time.perf_counter() - t0}
         payload = render_json(report) + "\n"
         if cfg.json_path:
             with open(cfg.json_path, "w") as fh:
                 fh.write(payload)
+        if dump is not None and cfg.dump_path:
+            with open(cfg.dump_path, "w") as fh:
+                fh.write(dump)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
     text = "\n".join(render_text(report)) + "\n"
+    if dump is not None and not cfg.dump_path:
+        sys.stdout.write(dump)
     stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout
     stream.write(text)
     return 0 if ok else CHECK_FAILED

@@ -203,102 +203,173 @@ def reorder_qubits(mat: np.ndarray, n: int, order: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: cyclic Jacobi with complex plane rotations.
-# dims here stay <= 1024, where this is plenty robust and the exact dyadic
-# spectra of the projector states come out clean.
+# Hermitian eigensolver: cyclic Jacobi with complex plane rotations, run on
+# each connected component of the matrix's nonzero pattern. The paper's
+# states pair each index with its complement, and so do their partial
+# transposes, so their components hold at most two indices; a dense matrix is
+# one component. Rotations in different components touch disjoint rows and
+# columns, so the spectrum is the one Jacobi on the whole matrix gives.
 # ---------------------------------------------------------------------------
 
 _MAX_SWEEPS = 100
 
 
-def _check_hermitian(mat: np.ndarray) -> np.ndarray:
-    """A symmetrized copy of a Hermitian matrix; the input is not modified."""
+def _check_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square complex matrix and the rows and columns of its nonzeros.
+
+    Entry pairs that are zero on both sides cannot break Hermiticity, so the
+    check visits the nonzeros only.
+    """
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    h = m.conj().T
-    herm_err = float(np.abs(m - h).max())
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise LinalgError(f"expected a nonempty square matrix, got shape {m.shape}")
+    rows, cols = np.nonzero(m != 0)  # a bool mask scans faster than complex entries
+    entries = m[rows, cols]
+    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
+    herm_err = float(np.abs(entries - m[cols, rows].conj()).max(initial=0.0))
     if herm_err > 1e-10 * scale:
         raise LinalgError(f"matrix is not Hermitian: max deviation {herm_err:.3e}")
-    return (m + h) / 2.0
+    return m, rows, cols
+
+
+def _blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the off-diagonal pattern, stacked by size.
+
+    Each entry is a (d, k) index array: column b lists the d indices of one
+    component, ascending.
+    """
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    # each index points at a smaller-or-equal index of its component; hook to
+    # the smallest neighbouring label, then jump pointers, until nothing moves
+    label = np.arange(dim)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    size = np.bincount(label, minlength=dim)[label]
+    order = np.lexsort((label, size))  # stable: ascending within each component
+    sizes = np.flatnonzero(np.bincount(size))
+    return [order[size[order] == d].reshape(-1, d).T for d in sizes]
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
+    off = a.copy()
+    diag = np.arange(a.shape[0])
+    off[diag, diag] = 0.0
     return float(np.linalg.norm(off))
 
 
+def _modulus(z):
+    """|z| by libm's hypot, for a scalar and for an array alike.
+
+    numpy's vectorized complex abs can differ from it in the last bit, and a
+    block must rotate by the same angle whether it is stacked or alone.
+    """
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
+    """Zero a[p, q] by one plane rotation, in place.
+
+    A 2-D `a` is one block. A 3-D `a` stacks blocks on its last axis and each
+    is rotated with its own angle; `v` is laid out like `a`.
+    """
     apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    # small-magnitude root of t^2 - 2 tau t - 1 = 0; its sign is opposite tau
-    if tau > 0.0:
-        t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    elif tau < 0.0:
-        t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0
-    c = 1.0 / math.sqrt(1.0 + t * t)
+    r = _modulus(apq)
+    theta = (a[p, p].real - a[q, q].real) / (2.0 * r)
+    # small-magnitude root of t^2 + 2 theta t - 1 = 0, with the sign of theta
+    # (+1 at theta = +0, which is the zero a difference of equal numbers gives)
+    t = np.copysign(1.0, theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
+    c = 1.0 / np.sqrt(1.0 + t * t)
     s = (t * c) * (apq / r).conjugate()
+    sh = s.conjugate()
     # columns: A <- A U with U = [[c, -conj(s)], [s, c]] on (p, q)
-    ap = a[:, p].copy()
-    aq = a[:, q].copy()
-    a[:, p] = c * ap + s * aq
-    a[:, q] = -s.conjugate() * ap + c * aq
+    ap, aq = a[:, p], a[:, q]
+    a[:, p], a[:, q] = c * ap + s * aq, -sh * ap + c * aq
     # rows: A <- U^dag A
-    bp = a[p, :].copy()
-    bq = a[q, :].copy()
-    a[p, :] = c * bp + s.conjugate() * bq
-    a[q, :] = -s * bp + c * bq
+    bp, bq = a[p], a[q]
+    a[p], a[q] = c * bp + sh * bq, -s * bp + c * bq
     a[p, q] = 0.0
     a[q, p] = 0.0
     a[p, p] = a[p, p].real
     a[q, q] = a[q, q].real
     if v is not None:
-        vp = v[:, p].copy()
-        vq = v[:, q].copy()
-        v[:, p] = c * vp + s * vq
-        v[:, q] = -s.conjugate() * vp + c * vq
+        vp, vq = v[:, p], v[:, q]
+        v[:, p], v[:, q] = c * vp + s * vq, -sh * vp + c * vq
+
+
+def _sweep(a: np.ndarray, v: np.ndarray | None, cand: np.ndarray, skip: float) -> None:
+    """One cyclic sweep over a (d, d, k) stack: each block rotates the pairs
+    that were candidates at the start and are still above `skip`."""
+    pairs = np.argwhere(cand.any(axis=2)).tolist()
+    if a.shape[2] == 1:  # one block: rotate a plain 2-D view of it
+        a, v = a[:, :, 0], None if v is None else v[:, :, 0]
+        for p, q in pairs:
+            if abs(a[p, q]) > skip:
+                _jacobi_rotate(a, v, p, q)
+        return
+    for p, q in pairs:
+        sel = cand[p, q] & (_modulus(a[p, q]) > skip)
+        if sel.all():
+            _jacobi_rotate(a, v, p, q)
+        elif sel.any():
+            sub = a[:, :, sel]
+            subv = None if v is None else v[:, :, sel]
+            _jacobi_rotate(sub, subv, p, q)
+            a[:, :, sel] = sub
+            if v is not None:
+                v[:, :, sel] = subv
 
 
 def _jacobi(
     mat: np.ndarray, want_vectors: bool, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    a = _check_hermitian(mat)
-    dim = a.shape[0]
-    v = np.eye(dim, dtype=complex) if want_vectors else None
-    norm = float(np.linalg.norm(a))
-    if dim == 1 or norm == 0.0:
-        vals = np.diag(a).real.copy()
-        return vals, v
+    m, rows, cols = _check_hermitian(mat)
+    dim = m.shape[0]
+    # per size d: the (d, k) indices, the symmetrized (d, d, k) blocks and
+    # their (d, d, k) eigenvector blocks
+    stacks = []
+    for ix in _blocks(dim, rows, cols):
+        d, k = ix.shape
+        g = m[ix[:, None, :], ix[None, :, :]]
+        a = (g + g.transpose(1, 0, 2).conj()) / 2.0
+        v = np.repeat(np.eye(d, dtype=complex)[:, :, None], k, axis=2) if want_vectors else None
+        stacks.append([ix, a, v])
+    norm = math.hypot(*(float(np.linalg.norm(a)) for _, a, _ in stacks))
     target = tol.eigen_offdiag * norm
     # anything below `skip` can contribute at most target/100 in total, so
     # skipping it can never leave the stop criterion unmet
     skip = target / (100.0 * dim)
+    upper = [np.triu(np.ones((len(ix),) * 2, dtype=bool), 1)[:, :, None] for ix, _, _ in stacks]
     for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
+        if math.hypot(*(_offdiag_norm(a) for _, a, _ in stacks)) <= target:
             break
-        candidates = np.argwhere(np.triu(np.abs(a) > skip, 1))
-        if candidates.size == 0:
+        cands = [(np.abs(a) > skip) & up for up, (_, a, _) in zip(upper, stacks)]
+        if not any(cand.any() for cand in cands):
             break
-        for p, q in candidates:
-            if abs(a[p, q]) > skip:
-                _jacobi_rotate(a, v, int(p), int(q))
-        a = (a + a.conj().T) / 2.0
+        for cand, stack in zip(cands, stacks):
+            _, a, v = stack
+            _sweep(a, v, cand, skip)
+            stack[1] = (a + a.transpose(1, 0, 2).conj()) / 2.0
     else:
         raise LinalgError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps (dim {dim})")
-    vals = np.diag(a).real.copy()
+    vals = np.empty(dim)
+    vecs = np.zeros((dim, dim), dtype=complex) if want_vectors else None
+    for ix, a, v in stacks:
+        diag = np.arange(ix.shape[0])
+        vals[ix] = a[diag, diag].real
+        if vecs is not None:
+            vecs[ix[:, None, :], ix[None, :, :]] = v
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    if v is not None:
-        v = v[:, order]
-    return vals, v
+    if vecs is not None:
+        vecs = vecs[:, order]
+    return vals, vecs
 
 
 def hermitian_eigenvalues(

@@ -74,7 +74,10 @@ def bell_sandwich(
 
     The remaining qubits keep their ascending original order.
     """
-    grouped = group_qubits(mat, n, sorted(pair))
+    return _conditional_operators(group_qubits(mat, n, sorted(pair)))
+
+
+def _conditional_operators(grouped: np.ndarray) -> dict[BellLabel, np.ndarray]:
     return {
         b: np.einsum("arbs,a,b->rs", grouped, bell_vector(b).conj(), bell_vector(b))
         for b in BELL_LABELS
@@ -97,11 +100,19 @@ def bell_measure(
 ) -> list[MeasurementOutcome]:
     """Projective Bell measurement of one pair; outcomes in canonical label order."""
     pair = _normalize_pair(pair, rho.qubits)
+    return bell_measure_grouped(group_qubits(rho.matrix, rho.qubits, pair), tol)
+
+
+def bell_measure_grouped(
+    grouped: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+) -> list[MeasurementOutcome]:
+    """bell_measure of the leading pair of a state in group_qubits' (pair, rest) layout."""
+    rest = grouped.shape[1].bit_length() - 1
     outcomes = []
-    for label, op in bell_sandwich(rho.matrix, rho.qubits, pair).items():
+    for label, op in _conditional_operators(grouped).items():
         p = float(np.trace(op).real)
         if p > tol.zero_probability:
-            post = DensityMatrix(rho.qubits - 2, op / p)
+            post = DensityMatrix(rest, op / p)
         else:
             post = None
         outcomes.append(MeasurementOutcome(label, p, post))

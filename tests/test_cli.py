@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,18 @@ class TestOutputErrors:
         assert run(["construct", "--class", "rho+", "--n", "4", "--dump", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_construct_json_into_missing_directory_prints_no_dump(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert run(["construct", "--class", "rho+", "--n", "4", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_construct_json_into_missing_directory_writes_no_dump_file(self, tmp_path, capsys):
+        dump, path = tmp_path / "m.txt", tmp_path / "missing" / "x.json"
+        argv = ["construct", "--class", "rho+", "--n", "4", "--dump", str(dump), "--json", str(path)]
+        assert run(argv) == 2
+        assert not dump.exists() and capsys.readouterr().out == ""
+
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         def exhausted(cfg):
             raise MemoryError
@@ -338,3 +351,27 @@ class TestOneChecklist:
             assert certs["max_reconstruction_error"] == max(
                 c.reconstruction_error for c in rep.certificates
             )
+
+
+GOLDEN_CLI = Path(__file__).parent / "goldens" / "cli"
+
+
+class TestGoldenBytes:
+    """CLI output pinned byte for byte; tests/goldens/cli/README.md says where
+    the files come from. Each output file is named after its golden."""
+
+    CASES = {
+        "verify_n6": ["verify", "--n", "6"],
+        "report_sigma-_n6": ["report", "--class", "sigma-", "--n", "6"],
+        "report_noisy_n6": ["report", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6"],
+        "construct_rho-_n4": ["construct", "--class", "rho-", "--n", "4", "--dump", "construct_rho-_n4.dump"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_matches_golden(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(self.CASES[name] + ["--json", f"{name}.json"]) == 0
+        outputs = sorted(p.name for p in tmp_path.iterdir())
+        assert outputs == sorted(p.name for p in GOLDEN_CLI.glob(f"{name}.*"))
+        for out in outputs:
+            assert (tmp_path / out).read_bytes() == (GOLDEN_CLI / out).read_bytes(), out

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bcabe
 from bcabe import linalg
 from bcabe.basis import PHI_PLUS, bell_projector
+from bcabe.config import DEFAULT_TOLERANCES
 from bcabe.linalg import (
     Bipartition,
     DensityMatrix,
@@ -204,6 +206,62 @@ class TestEigensolver:
     def test_non_hermitian_rejected(self):
         with pytest.raises(LinalgError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def permuted_block_sum(rng, sizes):
+    """A random Hermitian direct sum of blocks of the given sizes with its rows
+    and columns permuted, and each block as the submatrix on its indices there."""
+    dim = sum(sizes)
+    m = np.zeros((dim, dim), dtype=complex)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    for b, d in enumerate(sizes):
+        at = np.flatnonzero(owner == b)
+        m[np.ix_(at, at)] = random_hermitian(rng, d)
+    perm = rng.permutation(dim)
+    m, owner = m[np.ix_(perm, perm)], owner[perm]
+    blocks = [m[np.ix_(owner == b, owner == b)] for b in range(len(sizes))]
+    return m, blocks
+
+
+class TestEigensolverByComponent:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8),
+    )
+    def test_block_sum_matches_lapack_and_its_blocks(self, seed, sizes):
+        m, blocks = permuted_block_sum(np.random.default_rng(seed), sizes)
+        vals = hermitian_eigenvalues(m)
+        bound = DEFAULT_TOLERANCES.eigen_offdiag * max(1.0, np.linalg.norm(m))
+        assert np.abs(vals - np.linalg.eigvalsh(m)).max() <= bound
+        one_at_a_time = np.sort(np.concatenate([hermitian_eigenvalues(b) for b in blocks]))
+        assert np.array_equal(vals, one_at_a_time)
+
+    def test_tridiagonal_is_one_component(self):
+        dim = 33
+        m = np.diag(np.arange(dim, dtype=complex)) + np.diag(np.full(dim - 1, 0.5 + 0.25j), 1)
+        m = m + np.triu(m, 1).conj().T
+        (ix,) = linalg._blocks(dim, *np.nonzero(m))
+        assert ix.shape == (dim, 1) and np.array_equal(ix[:, 0], np.arange(dim))
+        assert np.abs(hermitian_eigenvalues(m) - np.linalg.eigvalsh(m)).max() < 1e-10
+
+    def test_entry_mirrored_by_zero_rejected(self):
+        m = np.kron(np.eye(2), SIGMA_X).astype(complex)
+        m[0, 3] = 1e-3  # m[3, 0] stays 0: the only asymmetry
+        with pytest.raises(LinalgError, match="not Hermitian"):
+            hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+    def test_empty_or_non_square_rejected(self, shape):
+        with pytest.raises(LinalgError, match="nonempty square"):
+            hermitian_eigenvalues(np.zeros(shape))
+
+    def test_eigensystem_residuals_on_permuted_blocks(self):
+        m, _ = permuted_block_sum(np.random.default_rng(21), (1, 2, 2, 3, 4, 4, 1))
+        dim = len(m)
+        vals, vecs = hermitian_eigensystem(m, check_residuals=True)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-12
+        assert np.abs(vals - np.linalg.eigvalsh(m)).max() < 1e-12 * np.linalg.norm(m)
 
 
 class TestBipartition:
