@@ -51,6 +51,7 @@ from .linalg import (
     load_matrix,
     partial_trace,
     partial_transpose,
+    pt_spectrum,
     tensor,
 )
 from .analyze import (

@@ -33,7 +33,7 @@ from .linalg import (
     frobenius_distance,
     group_qubits,
     hermitian_eigenvalues,
-    partial_transpose,
+    pt_spectrum,
     reorder_qubits,
 )
 from . import protocol
@@ -57,9 +57,7 @@ def is_ppt(
     """PPT test with eigenvalue evidence for one bipartite cut."""
     if not rho.validated(tol):
         rho.validate(tol)
-    pt = partial_transpose(rho, cut)
-    eigs = hermitian_eigenvalues(pt, tol)
-    one_norm = float(np.abs(pt).sum(axis=0).max())
+    eigs, one_norm = pt_spectrum(rho, cut, tol)
     threshold = tol.ppt * max(1.0, one_norm)
     min_eig = float(eigs[0])
     negativity = float(-eigs[eigs < 0].sum()) + 0.0

@@ -2,8 +2,8 @@
 
 Matrices are plain complex128 numpy arrays of dimension 2**n, with qubit 1 as
 the most significant bit of the basis index: index(a_1 .. a_n) = sum a_j 2**(n-j).
-Everything here is a pure function of immutable inputs; the eigensolver works
-on a private copy.
+Everything here is a pure function of immutable inputs; the eigensolver reads
+a matrix as its nonzero entries and works on a private copy of them.
 """
 
 from __future__ import annotations
@@ -124,6 +124,14 @@ class DensityMatrix:
         """Whether Hermiticity and unit trace already passed under `tol`."""
         return self.__dict__.get("_validated_under") == tol
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzeros, row-major; scanned once, then kept."""
+        if "_entries" not in self.__dict__:
+            object.__setattr__(self, "_entries", _entries(self.matrix)[1:])
+            for a in self._entries:
+                a.setflags(write=False)
+        return self.__dict__["_entries"]
+
 
 def _as_tensor(mat: np.ndarray, n: int) -> np.ndarray:
     return mat.reshape((2,) * (2 * n))
@@ -151,6 +159,28 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
             f"cut over {cut.qubits} qubits applied to a {rho.qubits}-qubit state"
         )
     return transpose_qubits(rho.matrix, rho.qubits, cut.right)
+
+
+def pt_spectrum(
+    rho: DensityMatrix, cut: Bipartition, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, float]:
+    """Ascending spectrum and max column sum of `partial_transpose(rho, cut)`.
+
+    Transposing the right group's qubits moves entry (r, c) to (r ^ s, c ^ s)
+    with s = (r ^ c) & mask, so the transpose is the state's own nonzeros,
+    moved in O(nnz); no 2**n x 2**n array is formed.
+    """
+    n = rho.qubits
+    if cut.qubits != n:
+        raise LinalgError(f"cut over {cut.qubits} qubits applied to a {n}-qubit state")
+    rows, cols, vals = rho.entries()
+    s = (rows ^ cols) & sum(1 << (n - q) for q in cut.right)
+    rows, cols = rows ^ s, cols ^ s
+    order = np.argsort(rows * rho.dim + cols)  # row-major, as a dense scan finds them
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    one_norm = float(np.bincount(cols, weights=np.abs(vals), minlength=rho.dim).max())
+    eigs, _ = _jacobi(rho.dim, rows, cols, vals, want_vectors=False, tol=tol)
+    return eigs, one_norm
 
 
 def transpose_qubits(mat: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
@@ -214,22 +244,27 @@ def reorder_qubits(mat: np.ndarray, n: int, order: Sequence[int]) -> np.ndarray:
 _MAX_SWEEPS = 100
 
 
-def _check_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The square complex matrix and the rows and columns of its nonzeros.
-
-    Entry pairs that are zero on both sides cannot break Hermiticity, so the
-    check visits the nonzeros only.
-    """
+def _entries(mat: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The dimension of a square matrix and its nonzeros, row-major."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise LinalgError(f"expected a nonempty square matrix, got shape {m.shape}")
     rows, cols = np.nonzero(m != 0)  # a bool mask scans faster than complex entries
-    entries = m[rows, cols]
-    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
-    herm_err = float(np.abs(entries - m[cols, rows].conj()).max(initial=0.0))
+    return m.shape[0], rows, cols, m[rows, cols]
+
+
+def _check_hermitian(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    """Reject non-finite entries and entries that differ from their mirror's
+    conjugate; entries come row-major, and a mirror with no entry reads 0."""
+    if not np.isfinite(vals).all():
+        raise LinalgError("matrix has a non-finite entry")
+    keys, mirror_keys = rows * dim + cols, cols * dim + rows
+    at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+    mirror = np.where(keys[at] == mirror_keys, vals[at], 0.0)
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    herm_err = float(np.abs(vals - mirror.conj()).max(initial=0.0))
     if herm_err > 1e-10 * scale:
         raise LinalgError(f"matrix is not Hermitian: max deviation {herm_err:.3e}")
-    return m, rows, cols
 
 
 def _blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -327,16 +362,21 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, cand: np.ndarray, skip: float) -
 
 
 def _jacobi(
-    mat: np.ndarray, want_vectors: bool, tol: Tolerances
+    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, want_vectors: bool, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    m, rows, cols = _check_hermitian(mat)
-    dim = m.shape[0]
+    """Eigenpairs of the dim x dim matrix whose nonzeros are given row-major."""
+    _check_hermitian(dim, rows, cols, vals)
     # per size d: the (d, k) indices, the symmetrized (d, d, k) blocks and
     # their (d, d, k) eigenvector blocks
     stacks = []
     for ix in _blocks(dim, rows, cols):
         d, k = ix.shape
-        g = m[ix[:, None, :], ix[None, :, :]]
+        at = np.full(dim, -1)  # flat (position, block) slot of each index of the stack
+        at[ix] = np.arange(ix.size).reshape(d, k)
+        mine = at[rows] >= 0
+        r, c = at[rows[mine]], at[cols[mine]]
+        g = np.zeros((d, d, k), dtype=complex)
+        g[r // k, c // k, r % k] = vals[mine]
         a = (g + g.transpose(1, 0, 2).conj()) / 2.0
         v = np.repeat(np.eye(d, dtype=complex)[:, :, None], k, axis=2) if want_vectors else None
         stacks.append([ix, a, v])
@@ -358,25 +398,25 @@ def _jacobi(
             stack[1] = (a + a.transpose(1, 0, 2).conj()) / 2.0
     else:
         raise LinalgError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps (dim {dim})")
-    vals = np.empty(dim)
+    eigs = np.empty(dim)
     vecs = np.zeros((dim, dim), dtype=complex) if want_vectors else None
     for ix, a, v in stacks:
         diag = np.arange(ix.shape[0])
-        vals[ix] = a[diag, diag].real
+        eigs[ix] = a[diag, diag].real
         if vecs is not None:
             vecs[ix[:, None, :], ix[None, :, :]] = v
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
+    order = np.argsort(eigs, kind="stable")
+    eigs = eigs[order]
     if vecs is not None:
         vecs = vecs[:, order]
-    return vals, vecs
+    return eigs, vecs
 
 
 def hermitian_eigenvalues(
     mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, ascending."""
-    vals, _ = _jacobi(mat, want_vectors=False, tol=tol)
+    vals, _ = _jacobi(*_entries(mat), want_vectors=False, tol=tol)
     return vals
 
 
@@ -390,7 +430,7 @@ def hermitian_eigensystem(
     With check_residuals, enforces ||M v - lambda v|| <= eigen_residual * ||M||
     for every pair.
     """
-    vals, vecs = _jacobi(mat, want_vectors=True, tol=tol)
+    vals, vecs = _jacobi(*_entries(mat), want_vectors=True, tol=tol)
     if check_residuals:
         m = np.asarray(mat, dtype=complex)
         bound = tol.eigen_residual * max(float(np.linalg.norm(m)), 1e-300)

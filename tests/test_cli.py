@@ -364,6 +364,8 @@ class TestGoldenBytes:
         "verify_n6": ["verify", "--n", "6"],
         "report_sigma-_n6": ["report", "--class", "sigma-", "--n", "6"],
         "report_noisy_n6": ["report", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6"],
+        "report_rho+_n8": ["report", "--class", "rho+", "--n", "8"],
+        "report_noisy_n8": ["report", "--noisy", "0.4,0.2,0.2,0.2", "--n", "8"],
         "construct_rho-_n4": ["construct", "--class", "rho-", "--n", "4", "--dump", "construct_rho-_n4.dump"],
     }
 

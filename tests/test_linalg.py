@@ -1,3 +1,4 @@
+import itertools
 import re
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bcabe
-from bcabe import linalg
+from bcabe import construct, linalg
+from bcabe.analyze import scan_all_cuts
 from bcabe.basis import PHI_PLUS, bell_projector
 from bcabe.config import DEFAULT_TOLERANCES
 from bcabe.linalg import (
@@ -24,6 +26,7 @@ from bcabe.linalg import (
     load_matrix,
     partial_trace,
     partial_transpose,
+    pt_spectrum,
     reorder_qubits,
     tensor,
     transpose_qubits,
@@ -91,6 +94,49 @@ class TestPartialTranspose:
         dm = random_density_matrix(rng, 2)
         with pytest.raises(LinalgError):
             partial_transpose(dm, Bipartition.of((1,), 3))
+
+
+class TestPtSpectrum:
+    """pt_spectrum against the dense oracle: hermitian_eigenvalues of partial_transpose."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.integers(min_value=2, max_value=4),  # a 1-qubit state has no cut
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1.0, 0.5, 0.2]),
+    )
+    def test_matches_dense_route_on_every_cut(self, n, seed, kept):
+        rng = np.random.default_rng(seed)
+        dim = 2**n
+        keep = np.triu(rng.random((dim, dim)) < kept)
+        dm = DensityMatrix(n, random_hermitian(rng, dim) * (keep | keep.T))
+        for r in range(1, n):
+            for left in itertools.combinations(range(1, n + 1), r):
+                cut = Bipartition.of(left, n)
+                eigs, one_norm = pt_spectrum(dm, cut)
+                pt = partial_transpose(dm, cut)
+                assert eigs.tobytes() == hermitian_eigenvalues(pt).tobytes(), str(cut)
+                assert one_norm == pytest.approx(np.abs(pt).sum(axis=0).max(), rel=1e-15, abs=0)
+
+    def test_entries_scanned_once(self):
+        dm = DensityMatrix(2, bell_projector(PHI_PLUS))
+        rows, cols, vals = dm.entries()
+        assert dm.entries()[0] is rows and not vals.flags.writeable
+        assert rows.tolist() == [0, 0, 3, 3] and cols.tolist() == [0, 3, 0, 3]
+        assert np.allclose(vals, 0.5)
+
+    def test_cut_scan_forms_no_dense_transpose(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("dense partial transpose formed")
+
+        monkeypatch.setattr(linalg, "transpose_qubits", dense)
+        verdicts = scan_all_cuts(construct.projector_direct(construct.RHO_PLUS, 8))
+        assert len(verdicts) == 127
+        assert all(v.ppt == (len(v.cut.left) % 2 == 0) for v in verdicts)  # odd sides are NPT
+
+    def test_invalid_cut_rejected(self):
+        with pytest.raises(LinalgError, match="cut over 3 qubits"):
+            pt_spectrum(DensityMatrix(2, bell_projector(PHI_PLUS)), Bipartition.of((1,), 3))
 
 
 class TestPartialTrace:
@@ -250,6 +296,13 @@ class TestEigensolverByComponent:
         m[0, 3] = 1e-3  # m[3, 0] stays 0: the only asymmetry
         with pytest.raises(LinalgError, match="not Hermitian"):
             hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(LinalgError, match="non-finite"):
+            hermitian_eigenvalues(np.array([[1, bad], [bad, 1]]))
+        with pytest.raises(LinalgError, match="non-finite"):
+            hermitian_eigenvalues(np.array([[bad, 0], [0, 1]]))
 
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
     def test_empty_or_non_square_rejected(self, shape):
