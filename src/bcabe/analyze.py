@@ -34,7 +34,7 @@ from .linalg import (
     group_qubits,
     hermitian_eigenvalues,
     pt_spectrum,
-    reorder_qubits,
+    values_at,
 )
 from . import protocol
 
@@ -82,7 +82,6 @@ def scan_all_cuts(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     cut of a given side size has the same verdict, and gather_evidence checks
     that invariance separately.
     """
-    rho.validate(tol)
     return [is_ppt(rho, cut, tol) for cut in _cuts(rho.qubits)]
 
 
@@ -113,20 +112,23 @@ def certify_two_vs_rest_separable(
     weights = {o.label: o.probability for o in outcomes}
     factors = {o.label: o.post_state for o in outcomes}
     reason = None
-    # rebuild in the (pair, rest) layout of group_qubits; the Frobenius norm
-    # ignores index order
-    rest_dim = 2 ** (rho.qubits - 2)
-    rebuilt = np.zeros((4, rest_dim, 4, rest_dim), dtype=complex)
+    # rebuild in the (pair, rest) layout of group_qubits, writing only the
+    # (a, b) blocks where a Bell projector is nonzero; C order whatever the
+    # strides of grouped, so the norm sums the residual in row-major order
+    rebuilt = np.zeros(grouped.shape, dtype=complex)
     for label, tau in factors.items():
         if tau is None:
             continue
         lo = float(hermitian_eigenvalues(tau.matrix, tol)[0])
         if lo < -tol.psd:
             reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
-        rebuilt += weights[label] * np.einsum("ab,rs->arbs", bell_projector(label), tau.matrix)
+        proj = bell_projector(label)
+        for a, b in zip(*np.nonzero(proj)):
+            rebuilt[a, :, b, :] += weights[label] * (proj[a, b] * tau.matrix)
     if abs(sum(weights.values()) - 1.0) > tol.probability:
         reason = reason or f"weights sum to {sum(weights.values())!r}"
-    err = frobenius_distance(rebuilt, grouped)
+    rebuilt -= grouped
+    err = float(np.linalg.norm(rebuilt))
     if err > tol.certificate:
         reason = reason or f"reconstruction error {err:.3e}"
     return SeparabilityCertificate(pair, weights, factors, err, reason is None, reason)
@@ -143,12 +145,17 @@ def check_permutation_invariance(
     over all relabellings.
     """
     n = rho.qubits
+    rows, cols, vals = rho.entries()
     worst = 0.0
     for j in range(2, n + 1):
-        perm = list(range(1, n + 1))
-        perm[0], perm[j - 1] = j, 1
-        moved = reorder_qubits(rho.matrix, n, perm)
-        worst = max(worst, frobenius_distance(moved, rho.matrix))
+        # (1 j) swaps the bits of qubits 1 and j: the relabelled state at (r, c)
+        # is the state at (swap(r), swap(c)), and where that reads 0 the
+        # relabelling holds the entry's value at the swapped place instead
+        flip = (1 << (n - 1)) | (1 << (n - j))
+        swap = lambda x: x ^ ((((x >> (n - 1)) ^ (x >> (n - j))) & 1) * flip)
+        moved = values_at(rho.dim, rho.entries(), swap(rows), swap(cols))
+        diff = np.concatenate([moved - vals, vals[moved == 0]])
+        worst = max(worst, float(np.linalg.norm(diff)))
     return worst < tol.invariance, worst
 
 

@@ -111,16 +111,18 @@ def projector_direct(cls: StateClass, n: int) -> DensityMatrix:
 
 
 def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
-    """Bell-correlated recursion: 1/4 sum_b [Bell_b]_(1,2) (x) state(cls^b, n-2)."""
+    """Bell-correlated recursion: 1/4 sum_b [Bell_b]_(1,2) (x) state(cls^b, n-2),
+    built up from the Bell projectors at n = 2, each class once per level."""
     _check_size(n)
-    if n == 2:
-        return DensityMatrix(2, bell_projector(cls.label))
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for b in BELL_LABELS:
-        inner = projector_recursive(cls ^ b, n - 2)
-        m += tensor(bell_projector(b), inner.matrix)
-    return DensityMatrix(n, m / 4.0)
+    level = {c: bell_projector(c.label) for c in STATE_CLASSES}
+    for k in range(4, n + 1, 2):
+        below, level = level, {}
+        for c in STATE_CLASSES if k < n else (cls,):
+            m = level[c] = np.zeros((2**k, 2**k), dtype=complex)
+            for b in BELL_LABELS:
+                m += tensor(bell_projector(b), below[c ^ b])
+            m /= 4.0
+    return DensityMatrix(n, level[cls])
 
 
 def pauli_relate(base: DensityMatrix, target: StateClass) -> DensityMatrix:

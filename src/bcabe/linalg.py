@@ -103,20 +103,21 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def validate(self, tol: Tolerances = DEFAULT_TOLERANCES, psd: bool = False) -> None:
-        """Check Hermiticity and unit trace; eigenvalue floor only on request.
+        """Check Hermiticity and unit trace over the nonzero entries; eigenvalue
+        floor only on request. Non-finite entries are rejected.
 
         A passed Hermiticity and trace check is remembered, see `validated`.
         """
-        m = self.matrix
-        herm_err = float(np.abs(m - m.conj().T).max())
+        rows, cols, vals = self.entries()
+        herm_err = _hermitian_deviation(self.dim, rows, cols, vals)
         if herm_err > tol.hermiticity:
             raise LinalgError(f"not Hermitian: max deviation {herm_err:.3e}")
-        tr_err = abs(np.trace(m) - 1.0)
+        tr_err = abs(vals[rows == cols].sum() - 1.0)
         if tr_err > tol.trace:
             raise LinalgError(f"trace differs from 1 by {tr_err:.3e}")
         object.__setattr__(self, "_validated_under", tol)
         if psd:
-            lo = hermitian_eigenvalues(m, tol)[0]
+            lo = _jacobi(self.dim, rows, cols, vals, want_vectors=False, tol=tol)[0][0]
             if lo < -tol.psd:
                 raise LinalgError(f"negative eigenvalue {lo:.3e}")
 
@@ -253,17 +254,27 @@ def _entries(mat: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return m.shape[0], rows, cols, m[rows, cols]
 
 
-def _check_hermitian(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Reject non-finite entries and entries that differ from their mirror's
-    conjugate; entries come row-major, and a mirror with no entry reads 0."""
+def values_at(dim: int, entries: tuple[np.ndarray, ...], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Values at (rows, cols) of the dim x dim matrix whose nonzeros `entries`
+    lists row-major, looked up by sorted key r * dim + c; a missing one reads 0."""
+    have_rows, have_cols, vals = entries
+    keys, want = have_rows * dim + have_cols, rows * dim + cols
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[at] == want, vals[at], 0.0)
+
+
+def _hermitian_deviation(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """max |M - M^dag| over entries given row-major; rejects non-finite entries."""
     if not np.isfinite(vals).all():
         raise LinalgError("matrix has a non-finite entry")
-    keys, mirror_keys = rows * dim + cols, cols * dim + rows
-    at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
-    mirror = np.where(keys[at] == mirror_keys, vals[at], 0.0)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    herm_err = float(np.abs(vals - mirror.conj()).max(initial=0.0))
-    if herm_err > 1e-10 * scale:
+    mirror = values_at(dim, (rows, cols, vals), cols, rows)
+    return float(np.abs(vals - mirror.conj()).max(initial=0.0))
+
+
+def _check_hermitian(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    """Reject non-finite entries and a Hermiticity deviation above 1e-10 relative."""
+    herm_err = _hermitian_deviation(dim, rows, cols, vals)
+    if herm_err > 1e-10 * max(1.0, float(np.abs(vals).max(initial=0.0))):
         raise LinalgError(f"matrix is not Hermitian: max deviation {herm_err:.3e}")
 
 

@@ -9,6 +9,7 @@ trace of its final operator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,17 @@ def bell_sandwich(
 
 
 def _conditional_operators(grouped: np.ndarray) -> dict[BellLabel, np.ndarray]:
-    return {
-        b: np.einsum("arbs,a,b->rs", grouped, bell_vector(b).conj(), bell_vector(b))
-        for b in BELL_LABELS
-    }
+    """sum_ab conj(v_a) v_b grouped[a, :, b, :] per Bell vector v, over the
+    four (a, b) where v is nonzero, a-major: the bits einsum gives on a
+    C-ordered operand."""
+    out = {}
+    for label in BELL_LABELS:
+        v = bell_vector(label)
+        op = np.zeros_like(grouped[0, :, 0, :])
+        for a, b in itertools.product(np.flatnonzero(v), repeat=2):
+            op += (grouped[a, :, b, :] * v[a].conj()) * v[b]
+        out[label] = op
+    return out
 
 
 def _normalize_pair(pair, n) -> tuple[int, int]:

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bcabe.analyze import (
     bell_diagonal_entangled,
+    certificate_pairs,
     certify_two_vs_rest_separable,
     check_permutation_invariance,
     classify_abe,
@@ -17,8 +20,23 @@ from bcabe.construct import (
     bell_diagonal,
     noisy_state,
 )
-from bcabe.linalg import Bipartition, DensityMatrix, LinalgError, frobenius_distance, tensor
-from conftest import random_density_matrix
+from bcabe.linalg import (
+    Bipartition,
+    DensityMatrix,
+    LinalgError,
+    frobenius_distance,
+    group_qubits,
+    reorder_qubits,
+    tensor,
+)
+from conftest import random_density_matrix, random_hermitian
+
+MIXTURES = [NoisyWeights(0.7, 0.1, 0.1, 0.1), NoisyWeights(0.4, 0.2, 0.2, 0.2), NoisyWeights(0.553, 0.2, 0.147, 0.1)]
+
+
+def paper_states(class_states, n):
+    """The four class states and three mixtures at n qubits."""
+    return [class_states[(cls, n)] for cls in STATE_CLASSES] + [noisy_state(w, n) for w in MIXTURES]
 
 
 class TestIsPpt:
@@ -157,7 +175,65 @@ class TestSeparabilityCertificate:
             assert certify_two_vs_rest_separable(dm, pair).ok
 
 
+def _einsum_reconstruction_error(rho: DensityMatrix, cert) -> float:
+    """The certificate's residual rebuilt densely: four outer products, then a
+    difference, in the order the terms are added."""
+    grouped = group_qubits(rho.matrix, rho.qubits, cert.pair)
+    rest = 2 ** (rho.qubits - 2)
+    rebuilt = np.zeros((4, rest, 4, rest), dtype=complex)
+    for label, tau in cert.factors.items():
+        if tau is not None:
+            rebuilt += cert.weights[label] * np.einsum("ab,rs->arbs", bell_projector(label), tau.matrix)
+    return frobenius_distance(rebuilt, grouped)
+
+
+class TestReconstructionErrorBits:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_states_every_pair(self, n):
+        rho = random_density_matrix(np.random.default_rng(80 + n), n)
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            cert = certify_two_vs_rest_separable(rho, pair)
+            assert cert.reconstruction_error > 1e-3  # a random state has no Bell form
+            assert cert.reconstruction_error == _einsum_reconstruction_error(rho, cert), pair
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_class_states_and_mixtures(self, class_states, n):
+        for rho in paper_states(class_states, n):
+            for pair in certificate_pairs(n):
+                cert = certify_two_vs_rest_separable(rho, pair)
+                assert cert.reconstruction_error == _einsum_reconstruction_error(rho, cert), pair
+
+
+def _dense_permutation_deviation(rho: DensityMatrix) -> float:
+    n = rho.qubits
+    worst = 0.0
+    for j in range(2, n + 1):
+        perm = list(range(1, n + 1))
+        perm[0], perm[j - 1] = j, 1
+        worst = max(worst, frobenius_distance(reorder_qubits(rho.matrix, n, perm), rho.matrix))
+    return worst
+
+
 class TestPermutationInvariance:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.05])
+    def test_matches_dense_relabelling(self, n, density):
+        # sparse patterns leave entries whose relabelled place holds no entry
+        rng = np.random.default_rng(90 + n)
+        m = random_hermitian(rng, 2**n)
+        keep = rng.random(m.shape) < density
+        m[~(keep | keep.T)] = 0.0
+        m[1, 1] += 1.0  # |0..01><0..01| is moved by the transposition (1 n)
+        dense = _dense_permutation_deviation(DensityMatrix(n, m))
+        ok, dev = check_permutation_invariance(DensityMatrix(n, m))
+        assert dense > 1e-3 and not ok
+        assert dev == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_exactly_zero_on_paper_states(self, class_states, n):
+        for rho in paper_states(class_states, n):
+            assert check_permutation_invariance(rho) == (True, 0.0)
+
     def test_class_states_invariant(self, class_states):
         for n in (4, 6):
             for cls in STATE_CLASSES:

@@ -367,6 +367,10 @@ class TestGoldenBytes:
         "report_rho+_n8": ["report", "--class", "rho+", "--n", "8"],
         "report_noisy_n8": ["report", "--noisy", "0.4,0.2,0.2,0.2", "--n", "8"],
         "construct_rho-_n4": ["construct", "--class", "rho-", "--n", "4", "--dump", "construct_rho-_n4.dump"],
+        "verify_n8": ["verify", "--n", "8"],
+        "unlock_noisy_n8": [
+            "unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "8", "--keep", "1,3", "--pairing", "2,5;4,8;6,7",
+        ],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

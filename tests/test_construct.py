@@ -24,7 +24,7 @@ from bcabe.construct import (
     projector_direct,
     projector_recursive,
 )
-from bcabe.linalg import frobenius_distance, partial_trace, tensor
+from bcabe.linalg import DensityMatrix, frobenius_distance, partial_trace, tensor
 
 
 class TestStateClass:
@@ -143,6 +143,19 @@ class TestRecursion:
             d = projector_direct(cls, n)
             r = projector_recursive(cls, n)
             assert frobenius_distance(d.matrix, r.matrix) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_bit_identical_to_tree_recursion(self, n):
+        def tree(cls, n):
+            if n == 2:
+                return DensityMatrix(2, bell_projector(cls.label))
+            m = np.zeros((2**n, 2**n), dtype=complex)
+            for b in BELL_LABELS:
+                m += tensor(bell_projector(b), tree(cls ^ b, n - 2).matrix)
+            return DensityMatrix(n, m / 4.0)
+
+        for cls in STATE_CLASSES:
+            assert projector_recursive(cls, n).matrix.tobytes() == tree(cls, n).matrix.tobytes()
 
     def test_inner_class_is_outer_xor_label(self):
         # the only rule in the recursion: peeling Bell label b from class c

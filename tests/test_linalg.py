@@ -340,6 +340,29 @@ class TestDensityMatrix:
         with pytest.raises(LinalgError):
             DensityMatrix(1, m).validate()
 
+    @pytest.mark.parametrize("at", [[(0, 0)], [(0, 1), (1, 0)], [(3, 3)]], ids=["first", "mirrored", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_rejects_non_finite(self, at, bad):
+        m = np.eye(4, dtype=complex) / 4
+        for ix in at:
+            m[ix] = bad
+        dm = DensityMatrix(2, m)
+        with pytest.raises(LinalgError, match="non-finite"):
+            dm.validate()
+        assert not dm.validated()
+
+    @pytest.mark.parametrize("density", [1.0, 0.2])
+    def test_hermiticity_deviation_matches_dense(self, density):
+        rng = np.random.default_rng(11)
+        m = random_hermitian(rng, 32)
+        m[rng.random(m.shape) > density] = 0.0  # one-sided zeros: mirrors go missing
+        m += 1e-3 * np.triu(rng.standard_normal(m.shape), 1) * (m != 0)
+        dense = float(np.abs(m - m.conj().T).max())
+        assert dense > 1e-4
+        assert linalg._hermitian_deviation(*linalg._entries(m)) == dense
+        with pytest.raises(LinalgError, match=re.escape(f"max deviation {dense:.3e}")):
+            DensityMatrix(5, m).validate()
+
     def test_matrix_frozen(self):
         dm = DensityMatrix(1, np.eye(2) / 2)
         with pytest.raises(ValueError):

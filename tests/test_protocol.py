@@ -15,15 +15,18 @@ from bcabe.construct import (
     noisy_state,
     projector_direct,
 )
+from bcabe.basis import bell_vector
 from bcabe.linalg import (
     DensityMatrix,
     apply_qubit_permutation,
     frobenius_distance,
+    group_qubits,
     hermitian_eigenvalues,
     tensor,
 )
 from bcabe.protocol import (
     ProtocolError,
+    _conditional_operators,
     bell_fidelity,
     bell_measure,
     default_pairing,
@@ -347,3 +350,26 @@ class TestBellMeasureReference:
             for o, (p, post) in zip(outcomes, expected):
                 assert abs(o.probability - p) < 1e-12, pair
                 assert np.abs(o.post_state.matrix - post).max() < 1e-10, pair
+
+
+class TestConditionalOperatorsBits:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bit_identical_to_full_einsum(self, n):
+        # the sum runs over the Bell vector's nonzeros only; the full 16-term
+        # einsum is the oracle, on complex entries with no structure. einsum's
+        # own bits depend on its operand's strides: on a C-ordered operand it
+        # sums the (a, b) terms a-major, one by one, as the production sum
+        # does, while on the strided view group_qubits returns for the pair
+        # (n - 1, n) it sums each a-row apart first, which moves last bits
+        rng = np.random.default_rng(70 + n)
+        m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            grouped = group_qubits(m, n, pair)
+            ops = _conditional_operators(grouped)
+            assert list(ops) == list(BELL_LABELS)
+            for label, op in ops.items():
+                v = bell_vector(label)
+                dense = np.einsum("arbs,a,b->rs", np.ascontiguousarray(grouped), v.conj(), v)
+                assert op.tobytes() == dense.tobytes(), (pair, label)
+                on_view = np.einsum("arbs,a,b->rs", grouped, v.conj(), v)
+                assert np.abs(op - on_view).max() <= 1e-15 * np.abs(m).max(), (pair, label)
