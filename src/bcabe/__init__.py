@@ -50,7 +50,6 @@ from .linalg import (
     hermitian_eigenvalues,
     load_matrix,
     partial_trace,
-    partial_transpose,
     pt_spectrum,
     tensor,
 )

@@ -34,6 +34,7 @@ from .linalg import (
     group_qubits,
     hermitian_eigenvalues,
     pt_spectrum,
+    swap_qubits,
     values_at,
 )
 from . import protocol
@@ -151,9 +152,7 @@ def check_permutation_invariance(
         # (1 j) swaps the bits of qubits 1 and j: the relabelled state at (r, c)
         # is the state at (swap(r), swap(c)), and where that reads 0 the
         # relabelling holds the entry's value at the swapped place instead
-        flip = (1 << (n - 1)) | (1 << (n - j))
-        swap = lambda x: x ^ ((((x >> (n - 1)) ^ (x >> (n - j))) & 1) * flip)
-        moved = values_at(rho.dim, rho.entries(), swap(rows), swap(cols))
+        moved = values_at(rho.dim, (rows, cols, vals), swap_qubits(rows, n, 1, j), swap_qubits(cols, n, 1, j))
         diff = np.concatenate([moved - vals, vals[moved == 0]])
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst < tol.invariance, worst

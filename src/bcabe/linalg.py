@@ -81,13 +81,17 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A (presumed normalized) n-qubit state; the array is frozen on creation."""
+    """A (presumed normalized) n-qubit state; the array is frozen on creation.
+
+    A complex128 array is adopted, not copied, and becomes read-only for its
+    caller too; any other input is converted once.
+    """
 
     qubits: int
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2**self.qubits, 2**self.qubits):
             raise LinalgError(
                 f"matrix shape {m.shape} does not match {self.qubits} qubits"
@@ -142,7 +146,8 @@ def group_qubits(mat: np.ndarray, n: int, front: Sequence[int]) -> np.ndarray:
     """The matrix as a (2**k, 2**(n-k), 2**k, 2**(n-k)) array over k = len(front).
 
     Row and column indices are each split into the `front` qubits, in the
-    given order, and the remaining qubits in ascending order.
+    given order, and the remaining qubits in ascending order. The result is
+    C-ordered for every choice of qubits.
     """
     front = [int(q) for q in front]
     if len(set(front)) != len(front) or not set(front) <= set(range(1, n + 1)):
@@ -150,22 +155,21 @@ def group_qubits(mat: np.ndarray, n: int, front: Sequence[int]) -> np.ndarray:
     rows = [q - 1 for q in front] + [q - 1 for q in range(1, n + 1) if q not in front]
     t = _as_tensor(np.asarray(mat, dtype=complex), n)
     k = len(front)
-    return t.transpose(rows + [n + a for a in rows]).reshape((2**k, 2 ** (n - k)) * 2)
+    moved = t.transpose(rows + [n + a for a in rows]).reshape((2**k, 2 ** (n - k)) * 2)
+    return np.ascontiguousarray(moved)
 
 
-def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
-    """Transpose the indices of the cut's right group; Hermiticity-preserving."""
-    if cut.qubits != rho.qubits:
-        raise LinalgError(
-            f"cut over {cut.qubits} qubits applied to a {rho.qubits}-qubit state"
-        )
-    return transpose_qubits(rho.matrix, rho.qubits, cut.right)
+def swap_qubits(index, n: int, i: int, j: int):
+    """Basis index (an int or an int array) with the bits of qubits i and j exchanged."""
+    flip = (1 << (n - i)) | (1 << (n - j))
+    return index ^ ((((index >> (n - i)) ^ (index >> (n - j))) & 1) * flip)
 
 
 def pt_spectrum(
     rho: DensityMatrix, cut: Bipartition, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[np.ndarray, float]:
-    """Ascending spectrum and max column sum of `partial_transpose(rho, cut)`.
+    """Ascending spectrum and max column sum of the cut's partial transpose,
+    `transpose_qubits(rho.matrix, n, cut.right)`.
 
     Transposing the right group's qubits moves entry (r, c) to (r ^ s, c ^ s)
     with s = (r ^ c) & mask, so the transpose is the state's own nonzeros,
@@ -203,34 +207,18 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise LinalgError("keep set must be nonempty")
     if not set(keep) <= set(range(1, n + 1)):
         raise LinalgError(f"keep set {keep} out of range for n={n}")
-    reduced = partial_trace_matrix(rho.matrix, n, keep)
-    return DensityMatrix(len(keep), reduced)
-
-
-def partial_trace_matrix(mat: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:
-    return np.einsum("arbr->ab", group_qubits(mat, n, sorted(keep)))
+    return DensityMatrix(len(keep), np.einsum("arbr->ab", group_qubits(rho.matrix, n, keep)))
 
 
 def apply_qubit_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
-    """Conjugate by the relabeling unitary sending qubit i to position perm[i-1].
-
-    This is `reorder_qubits` with perm as the order: the qubit in slot i of
-    the input is qubit perm[i-1] of the output.
-    """
-    return DensityMatrix(rho.qubits, reorder_qubits(rho.matrix, rho.qubits, perm))
-
-
-def reorder_qubits(mat: np.ndarray, n: int, order: Sequence[int]) -> np.ndarray:
-    """Rearrange a matrix whose tensor slot i belongs to qubit order[i].
-
-    Returns the same operator expressed on qubits in natural order 1..n; the
-    inverse bookkeeping of building an operator as tensor(parts at positions).
-    """
-    if sorted(order) != list(range(1, n + 1)):
-        raise LinalgError(f"{order} is not a qubit ordering of 1..{n}")
+    """Conjugate by the relabeling unitary sending qubit i to position perm[i-1]:
+    the qubit in slot i of the input is qubit perm[i-1] of the output."""
+    n = rho.qubits
+    if sorted(perm) != list(range(1, n + 1)):
+        raise LinalgError(f"{perm} is not a qubit ordering of 1..{n}")
     # qubit q of the output sits in input slot `slots[q - 1]`
-    slots = sorted(range(1, n + 1), key=lambda slot: order[slot - 1])
-    return group_qubits(mat, n, slots).reshape(2**n, 2**n)
+    slots = sorted(range(1, n + 1), key=lambda slot: perm[slot - 1])
+    return DensityMatrix(n, group_qubits(rho.matrix, n, slots).reshape(2**n, 2**n))
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,6 @@ def bell_fidelity(rho2: DensityMatrix) -> tuple[BellLabel, float]:
     return best_label, best
 
 
-def bell_sandwich(
-    mat: np.ndarray, n: int, pair: tuple[int, int]
-) -> dict[BellLabel, np.ndarray]:
-    """Unnormalized conditional operators <B_b| M |B_b> over one qubit pair.
-
-    The remaining qubits keep their ascending original order.
-    """
-    return _conditional_operators(group_qubits(mat, n, sorted(pair)))
-
-
 def _conditional_operators(grouped: np.ndarray) -> dict[BellLabel, np.ndarray]:
     """sum_ab conj(v_a) v_b grouped[a, :, b, :] per Bell vector v, over the
     four (a, b) where v is nonzero, a-major: the bits einsum gives on a
@@ -133,11 +123,6 @@ def default_pairing(n: int, keep: tuple[int, int]) -> tuple[tuple[int, int], ...
     return tuple((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
 
 
-def _relabel(pair: tuple[int, int], alive: list[int]) -> tuple[int, int]:
-    # map original qubit labels to positions within the current reduced state
-    return (alive.index(pair[0]) + 1, alive.index(pair[1]) + 1)
-
-
 def unlock_sequential(
     rho: DensityMatrix,
     keep: tuple[int, int],
@@ -165,10 +150,12 @@ def unlock_sequential(
             f"pairing {pairing} must cover the non-kept qubits {expected} exactly"
         )
 
-    # depth-first over outcome tuples, carrying unnormalized conditional operators
+    # depth-first over outcome tuples, carrying unnormalized conditional operators.
+    # ρ is grouped once, pairs in measuring order and the kept pair last, so
+    # each level's pair is the leading one of the operator it measures
     branches: list[UnlockBranch] = []
 
-    def descend(mat: np.ndarray, alive: list[int], index: int, labels: tuple[BellLabel, ...]):
+    def descend(mat: np.ndarray, index: int, labels: tuple[BellLabel, ...]):
         if index == len(pairing):
             p = float(np.trace(mat).real)
             if p > tol.zero_probability:
@@ -178,13 +165,12 @@ def unlock_sequential(
             else:
                 branches.append(UnlockBranch(labels, max(p, 0.0), None, None, None))
             return
-        pair = pairing[index]
-        local = _relabel(pair, alive)
-        remaining = [q for q in alive if q not in pair]
-        for label, op in bell_sandwich(mat, len(alive), local).items():
-            descend(op, remaining, index + 1, labels + (label,))
+        rest = mat.shape[0] // 4
+        for label, op in _conditional_operators(mat.reshape(4, rest, 4, rest)).items():
+            descend(op, index + 1, labels + (label,))
 
-    descend(rho.matrix, list(range(1, n + 1)), 0, ())
+    order = [q for pair in pairing + (keep,) for q in pair]
+    descend(group_qubits(rho.matrix, n, order).reshape(rho.dim, rho.dim), 0, ())
 
     live = [b for b in branches if b.state is not None]
     min_fid = min((b.fidelity for b in live), default=0.0)

@@ -24,9 +24,9 @@ from bcabe.linalg import (
     Bipartition,
     DensityMatrix,
     LinalgError,
+    apply_qubit_permutation,
     frobenius_distance,
     group_qubits,
-    reorder_qubits,
     tensor,
 )
 from conftest import random_density_matrix, random_hermitian
@@ -210,7 +210,7 @@ def _dense_permutation_deviation(rho: DensityMatrix) -> float:
     for j in range(2, n + 1):
         perm = list(range(1, n + 1))
         perm[0], perm[j - 1] = j, 1
-        worst = max(worst, frobenius_distance(reorder_qubits(rho.matrix, n, perm), rho.matrix))
+        worst = max(worst, frobenius_distance(apply_qubit_permutation(rho, perm).matrix, rho.matrix))
     return worst
 
 

@@ -21,13 +21,13 @@ from bcabe.linalg import (
     apply_qubit_permutation,
     dump_matrix,
     frobenius_distance,
+    group_qubits,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     load_matrix,
     partial_trace,
-    partial_transpose,
     pt_spectrum,
-    reorder_qubits,
+    swap_qubits,
     tensor,
     transpose_qubits,
 )
@@ -59,14 +59,14 @@ class TestPartialTranspose:
         a = random_density_matrix(rng, 1)
         b = random_density_matrix(rng, 1)
         prod = DensityMatrix(2, tensor(a.matrix, b.matrix))
-        pt = partial_transpose(prod, Bipartition.of((1,), 2))
+        pt = transpose_qubits(prod.matrix, 2, Bipartition.of((1,), 2).right)
         eigs = np.linalg.eigvalsh(pt)
         assert eigs.min() >= -1e-12
         assert np.allclose(np.sort(eigs), np.sort(np.linalg.eigvalsh(prod.matrix)))
 
     def test_bell_state_min_eigenvalue(self):
         dm = DensityMatrix(2, bell_projector(PHI_PLUS))
-        pt = partial_transpose(dm, Bipartition.of((1,), 2))
+        pt = transpose_qubits(dm.matrix, 2, Bipartition.of((1,), 2).right)
         eigs = hermitian_eigenvalues(pt)
         assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -83,7 +83,7 @@ class TestPartialTranspose:
         rng = np.random.default_rng(9)
         dm = random_density_matrix(rng, 3)
         cut = Bipartition.of((1, 3), 3)
-        pt = partial_transpose(dm, cut)
+        pt = transpose_qubits(dm.matrix, 3, cut.right)
         assert np.trace(pt) == pytest.approx(1.0)
         assert np.abs(pt - pt.conj().T).max() < 1e-12
         back = transpose_qubits(pt, 3, cut.right)
@@ -93,11 +93,11 @@ class TestPartialTranspose:
         rng = np.random.default_rng(10)
         dm = random_density_matrix(rng, 2)
         with pytest.raises(LinalgError):
-            partial_transpose(dm, Bipartition.of((1,), 3))
+            transpose_qubits(dm.matrix, dm.qubits, Bipartition.of((1,), 3).right)
 
 
 class TestPtSpectrum:
-    """pt_spectrum against the dense oracle: hermitian_eigenvalues of partial_transpose."""
+    """pt_spectrum against the dense oracle: hermitian_eigenvalues of transpose_qubits."""
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -114,7 +114,7 @@ class TestPtSpectrum:
             for left in itertools.combinations(range(1, n + 1), r):
                 cut = Bipartition.of(left, n)
                 eigs, one_norm = pt_spectrum(dm, cut)
-                pt = partial_transpose(dm, cut)
+                pt = transpose_qubits(dm.matrix, n, cut.right)
                 assert eigs.tobytes() == hermitian_eigenvalues(pt).tobytes(), str(cut)
                 assert one_norm == pytest.approx(np.abs(pt).sum(axis=0).max(), rel=1e-15, abs=0)
 
@@ -204,7 +204,6 @@ class TestPermutation:
         c = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)
         moved = apply_qubit_permutation(DensityMatrix(3, tensor(a, b, c)), [2, 3, 1])
         assert np.array_equal(moved.matrix, tensor(c, a, b))
-        assert np.array_equal(reorder_qubits(tensor(a, b, c), 3, [2, 3, 1]), tensor(c, a, b))
 
 
 class TestFrobenius:
@@ -368,6 +367,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 5.0
 
+    def test_complex_array_adopted_float_converted(self):
+        m = np.eye(2, dtype=complex) / 2
+        dm = DensityMatrix(1, m)
+        assert dm.matrix is m and not m.flags.writeable
+        real = np.eye(2) / 2
+        converted = DensityMatrix(1, real).matrix
+        assert converted.dtype == complex and real.flags.writeable
+
     def test_psd_check(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(LinalgError):
@@ -431,12 +438,31 @@ class TestDumpFormat:
 class TestQubitLayout:
     def test_only_linalg_builds_the_qubit_tensor(self):
         # the qubit-to-index-bit layout is decided in linalg alone; other
-        # modules group qubits through linalg.group_qubits
+        # modules group qubits through linalg.group_qubits and move index
+        # bits through linalg.swap_qubits
         offenders = [
             f"{path.name}:{i}"
             for path in sorted(Path(bcabe.__file__).parent.glob("*.py"))
             if path.name != "linalg.py"
             for i, line in enumerate(path.read_text().splitlines(), start=1)
-            if re.search(r"\(2,\)\s*\*", line)
+            if re.search(r"\(2,\)\s*\*|(<<|>>)\s*\(n\s*-", line)
         ]
         assert offenders == []
+
+    def test_group_qubits_c_ordered_for_every_pair(self):
+        n = 4
+        m = np.arange(4**n, dtype=complex).reshape(2**n, 2**n)
+        for pair in itertools.permutations(range(1, n + 1), 2):
+            grouped = group_qubits(m, n, pair)
+            assert grouped.flags.c_contiguous, pair
+            # the pair's bits lead, the rest follow in ascending order
+            rest = [q for q in range(1, n + 1) if q not in pair]
+            bit = lambda q: (np.arange(2**n) >> (n - q)) & 1
+            a = 2 * bit(pair[0]) + bit(pair[1])
+            r = sum(bit(q) << (len(rest) - 1 - i) for i, q in enumerate(rest))
+            assert np.array_equal(grouped[a[:, None], r[:, None], a, r], m), pair
+
+    def test_swap_qubits(self):
+        assert swap_qubits(0b100, 3, 1, 3) == 0b001
+        assert swap_qubits(0b110, 3, 1, 2) == 0b110
+        assert swap_qubits(np.array([0b0100, 0b0001]), 4, 2, 4).tolist() == [0b0001, 0b0100]

@@ -356,11 +356,9 @@ class TestConditionalOperatorsBits:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_bit_identical_to_full_einsum(self, n):
         # the sum runs over the Bell vector's nonzeros only; the full 16-term
-        # einsum is the oracle, on complex entries with no structure. einsum's
-        # own bits depend on its operand's strides: on a C-ordered operand it
-        # sums the (a, b) terms a-major, one by one, as the production sum
-        # does, while on the strided view group_qubits returns for the pair
-        # (n - 1, n) it sums each a-row apart first, which moves last bits
+        # einsum is the oracle, on complex entries with no structure. On a
+        # C-ordered operand einsum sums the (a, b) terms a-major, one by one,
+        # as the production sum does
         rng = np.random.default_rng(70 + n)
         m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         for pair in itertools.combinations(range(1, n + 1), 2):
@@ -372,4 +370,43 @@ class TestConditionalOperatorsBits:
                 dense = np.einsum("arbs,a,b->rs", np.ascontiguousarray(grouped), v.conj(), v)
                 assert op.tobytes() == dense.tobytes(), (pair, label)
                 on_view = np.einsum("arbs,a,b->rs", grouped, v.conj(), v)
-                assert np.abs(op - on_view).max() <= 1e-15 * np.abs(m).max(), (pair, label)
+                assert op.tobytes() == on_view.tobytes(), (pair, label)
+
+
+def _unlock_regrouped_per_node(rho: DensityMatrix, keep, pairing):
+    """unlock's leaves as (labels, operator), computed the way it once was:
+    every node groups its operator anew on the positions, among the qubits not
+    yet measured, of the pair it measures."""
+    leaves = []
+
+    def descend(mat, alive, index, labels):
+        if index == len(pairing):
+            leaves.append((labels, mat))
+            return
+        pair = sorted(pairing[index])
+        local = [alive.index(q) + 1 for q in pair]
+        remaining = [q for q in alive if q not in pair]
+        for label, op in _conditional_operators(group_qubits(mat, len(alive), local)).items():
+            descend(op, remaining, index + 1, labels + (label,))
+
+    descend(rho.matrix, list(range(1, rho.qubits + 1)), 0, ())
+    return leaves
+
+
+class TestUnlockGroupsOnce:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_same_bits_as_regrouping_at_every_node(self, n):
+        rng = np.random.default_rng(110 + n)
+        for _ in range(3):
+            rho = random_density_matrix(rng, n)
+            order = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+            keep = (order[1], order[0])
+            # pairs in shuffled order, each given in either orientation
+            pairing = tuple((order[i], order[i + 1]) for i in range(2, n, 2))
+            result = unlock_sequential(rho, keep, pairing)
+            leaves = _unlock_regrouped_per_node(rho, keep, pairing)
+            assert [b.labels for b in result.branches] == [labels for labels, _ in leaves]
+            for branch, (_, mat) in zip(result.branches, leaves):
+                p = float(np.trace(mat).real)
+                assert branch.probability == p
+                assert branch.state.matrix.tobytes() == (mat / p).tobytes()
