@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json as _json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -473,14 +474,19 @@ def main(argv: list[str] | None = None) -> int:
         if dump is not None and cfg.dump_path:
             with open(cfg.dump_path, "w") as fh:
                 fh.write(dump)
+        text = "\n".join(render_text(report)) + "\n"
+        if dump is not None and not cfg.dump_path:
+            sys.stdout.write(dump)
+        stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout
+        stream.write(text)
+        sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:
+        try:  # the interpreter flushes stdout again at exit; that must not fail a second time
+            sys.stdout.flush()
+        except OSError:  # stdout cannot take what it holds: let the null device have it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
-    text = "\n".join(render_text(report)) + "\n"
-    if dump is not None and not cfg.dump_path:
-        sys.stdout.write(dump)
-    stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout
-    stream.write(text)
     return 0 if ok else CHECK_FAILED
 
 

@@ -8,6 +8,7 @@ a matrix as its nonzero entries and works on a private copy of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -222,11 +223,12 @@ def apply_qubit_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityM
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: cyclic Jacobi with complex plane rotations, run on
-# each connected component of the matrix's nonzero pattern. The paper's
-# states pair each index with its complement, and so do their partial
-# transposes, so their components hold at most two indices; a dense matrix is
-# one component. Rotations in different components touch disjoint rows and
+# Hermitian eigensolver: Jacobi with complex plane rotations in the parallel
+# order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985), run on each
+# connected component of the matrix's nonzero pattern. The paper's states
+# pair each index with its complement, and so do their partial transposes,
+# so their components hold at most two indices; a dense matrix is one
+# component. Rotations in different components touch disjoint rows and
 # columns, so the spectrum is the one Jacobi on the whole matrix gives.
 # ---------------------------------------------------------------------------
 
@@ -291,73 +293,60 @@ def _blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return [order[size[order] == d].reshape(-1, d).T for d in sizes]
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    diag = np.arange(a.shape[0])
-    off[diag, diag] = 0.0
-    return float(np.linalg.norm(off))
+@functools.cache
+def _rounds(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parallel order of one sweep over a d x d block: round i rotates the
+    disjoint pairs (p[i, j], q[i, j]), p < q, and mate[i] maps each index to
+    its partner (an idle one to itself). The indices sit on a ring of even
+    length m (an odd d adds an index d, whose partner idles); a round pairs
+    position j with m - 1 - j, then every position but 0 moves one step on,
+    so the m - 1 rounds meet every pair once."""
+    m = d + d % 2
+    ring, pairs = np.arange(m), []
+    for _ in range(m - 1):
+        pair = np.sort([ring[: m // 2], ring[: m // 2 - 1 : -1]], axis=0)
+        pairs.append(pair[:, pair[1] < d])
+        ring[1:] = np.roll(ring[1:], 1)
+    p, q = np.array(pairs).transpose(1, 0, 2)
+    mate = np.tile(np.arange(d), (m - 1, 1))
+    np.put_along_axis(mate, p, q, axis=1)
+    np.put_along_axis(mate, q, p, axis=1)
+    return p, q, mate
 
 
-def _modulus(z):
-    """|z| by libm's hypot, for a scalar and for an array alike.
-
-    numpy's vectorized complex abs can differ from it in the last bit, and a
-    block must rotate by the same angle whether it is stacked or alone.
-    """
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
-    """Zero a[p, q] by one plane rotation, in place.
-
-    A 2-D `a` is one block. A 3-D `a` stacks blocks on its last axis and each
-    is rotated with its own angle; `v` is laid out like `a`.
-    """
-    apq = a[p, q]
-    r = _modulus(apq)
-    theta = (a[p, p].real - a[q, q].real) / (2.0 * r)
-    # small-magnitude root of t^2 + 2 theta t - 1 = 0, with the sign of theta
-    # (+1 at theta = +0, which is the zero a difference of equal numbers gives)
-    t = np.copysign(1.0, theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = (t * c) * (apq / r).conjugate()
-    sh = s.conjugate()
-    # columns: A <- A U with U = [[c, -conj(s)], [s, c]] on (p, q)
-    ap, aq = a[:, p], a[:, q]
-    a[:, p], a[:, q] = c * ap + s * aq, -sh * ap + c * aq
-    # rows: A <- U^dag A
-    bp, bq = a[p], a[q]
-    a[p], a[q] = c * bp + sh * bq, -s * bp + c * bq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    if v is not None:
-        vp, vq = v[:, p], v[:, q]
-        v[:, p], v[:, q] = c * vp + s * vq, -sh * vp + c * vq
-
-
-def _sweep(a: np.ndarray, v: np.ndarray | None, cand: np.ndarray, skip: float) -> None:
-    """One cyclic sweep over a (d, d, k) stack: each block rotates the pairs
-    that were candidates at the start and are still above `skip`."""
-    pairs = np.argwhere(cand.any(axis=2)).tolist()
-    if a.shape[2] == 1:  # one block: rotate a plain 2-D view of it
-        a, v = a[:, :, 0], None if v is None else v[:, :, 0]
-        for p, q in pairs:
-            if abs(a[p, q]) > skip:
-                _jacobi_rotate(a, v, p, q)
-        return
-    for p, q in pairs:
-        sel = cand[p, q] & (_modulus(a[p, q]) > skip)
-        if sel.all():
-            _jacobi_rotate(a, v, p, q)
-        elif sel.any():
-            sub = a[:, :, sel]
-            subv = None if v is None else v[:, :, sel]
-            _jacobi_rotate(sub, subv, p, q)
-            a[:, :, sel] = sub
-            if v is not None:
-                v[:, :, sel] = subv
+def _sweep(a: np.ndarray, v: np.ndarray | None, skip: float) -> None:
+    """One sweep over a (d, d, k) stack of blocks, in place; `v` is laid out
+    like `a`. Each round zeroes a[p, q] for all its pairs in every block where
+    |a[p, q]| > skip, and the other blocks rotate by the identity. Each block
+    ends exactly Hermitian, with no imaginary rounding left on its diagonal."""
+    d, _, k = a.shape
+    for p, q, mate in zip(*_rounds(d)):
+        apq = a[p, q]
+        r = np.hypot(apq.real, apq.imag)  # not np.abs, which can differ in the last bit
+        sel = r > skip
+        r = np.where(sel, r, 1.0)  # keeps the angles the identity replaces finite
+        theta = (a[p, p].real - a[q, q].real) / (2.0 * r)
+        # small-magnitude root of t^2 + 2 theta t - 1 = 0, with the sign of theta
+        # (+1 at theta = +0, which is the zero a difference of equal numbers gives)
+        t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = np.where(sel, (t * c) * (apq / r).conjugate(), 0.0)
+        # U = [[c, -conj(s)], [s, c]] on each (p, q): column j of A U is
+        # cj A[:, j] + sj A[:, mate[j]], and row j of U^dag A is the same with conj(sj)
+        cj = np.ones((d, k))
+        cj[p] = cj[q] = np.where(sel, c, 1.0)
+        sj = np.zeros((d, k), dtype=complex)
+        sj[p], sj[q] = s, -s.conjugate()
+        mixes = [(a, 1, cj, sj), (a, 0, cj[:, None], sj.conjugate()[:, None])]
+        for m, axis, cm, sm in mixes + ([] if v is None else [(v, 1, cj, sj)]):
+            g = np.take(m, mate, axis=axis)
+            np.multiply(sm, g, out=g)
+            m *= cm
+            m += g
+        a[p, q] = np.where(sel, 0.0, a[p, q])
+        a[q, p] = np.where(sel, 0.0, a[q, p])
+    a += a.transpose(1, 0, 2).conj()
+    a /= 2.0
 
 
 def _jacobi(
@@ -365,7 +354,7 @@ def _jacobi(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenpairs of the dim x dim matrix whose nonzeros are given row-major."""
     _check_hermitian(dim, rows, cols, vals)
-    # per size d: the (d, k) indices, the symmetrized (d, d, k) blocks and
+    # per size d: the (d, k) indices, the Hermitian (d, d, k) blocks and
     # their (d, d, k) eigenvector blocks
     stacks = []
     for ix in _blocks(dim, rows, cols):
@@ -374,9 +363,12 @@ def _jacobi(
         at[ix] = np.arange(ix.size).reshape(d, k)
         mine = at[rows] >= 0
         r, c = at[rows[mine]], at[cols[mine]]
-        g = np.zeros((d, d, k), dtype=complex)
-        g[r // k, c // k, r % k] = vals[mine]
-        a = (g + g.transpose(1, 0, 2).conj()) / 2.0
+        a = np.zeros((d, d, k), dtype=complex)
+        a[r // k, c // k, r % k] = vals[mine]
+        # Hermitian part in place, so the stack stays C-ordered for the sweeps'
+        # gathers (numpy may lay out a new sum with the transpose column-major)
+        a += a.transpose(1, 0, 2).conj()
+        a /= 2.0
         v = np.repeat(np.eye(d, dtype=complex)[:, :, None], k, axis=2) if want_vectors else None
         stacks.append([ix, a, v])
     norm = math.hypot(*(float(np.linalg.norm(a)) for _, a, _ in stacks))
@@ -384,17 +376,15 @@ def _jacobi(
     # anything below `skip` can contribute at most target/100 in total, so
     # skipping it can never leave the stop criterion unmet
     skip = target / (100.0 * dim)
-    upper = [np.triu(np.ones((len(ix),) * 2, dtype=bool), 1)[:, :, None] for ix, _, _ in stacks]
+    live = [stack for stack in stacks if len(stack[0]) > 1]  # 1 x 1 blocks are diagonal
     for _ in range(_MAX_SWEEPS):
-        if math.hypot(*(_offdiag_norm(a) for _, a, _ in stacks)) <= target:
+        # every a[p, q] with p < q; a is Hermitian, so its off-diagonal norm is sqrt(2) times theirs
+        upper = [a[_rounds(len(ix))[:2]] for ix, a, _ in live]
+        off = math.sqrt(2.0) * math.hypot(*(float(np.linalg.norm(z)) for z in upper))
+        if off <= target or not any((np.hypot(z.real, z.imag) > skip).any() for z in upper):
             break
-        cands = [(np.abs(a) > skip) & up for up, (_, a, _) in zip(upper, stacks)]
-        if not any(cand.any() for cand in cands):
-            break
-        for cand, stack in zip(cands, stacks):
-            _, a, v = stack
-            _sweep(a, v, cand, skip)
-            stack[1] = (a + a.transpose(1, 0, 2).conj()) / 2.0
+        for _, a, v in live:
+            _sweep(a, v, skip)
     else:
         raise LinalgError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps (dim {dim})")
     eigs = np.empty(dim)

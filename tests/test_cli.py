@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +268,19 @@ class TestOutputErrors:
         argv = ["construct", "--class", "rho+", "--n", "4", "--dump", str(dump), "--json", str(path)]
         assert run(argv) == 2
         assert not dump.exists() and capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--n", "4"], ["construct", "--class", "rho-", "--n", "4"]], ids=["verify", "construct"]
+    )
+    def test_full_stdout_exits_2_without_traceback(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "bcabe", *argv], stdout=full, stderr=subprocess.PIPE, env=env, text=True
+            )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         def exhausted(cfg):

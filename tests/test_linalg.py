@@ -272,7 +272,7 @@ class TestEigensolverByComponent:
     @settings(deadline=None, max_examples=100)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8),
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=8),
     )
     def test_block_sum_matches_lapack_and_its_blocks(self, seed, sizes):
         m, blocks = permuted_block_sum(np.random.default_rng(seed), sizes)
@@ -309,11 +309,27 @@ class TestEigensolverByComponent:
             hermitian_eigenvalues(np.zeros(shape))
 
     def test_eigensystem_residuals_on_permuted_blocks(self):
-        m, _ = permuted_block_sum(np.random.default_rng(21), (1, 2, 2, 3, 4, 4, 1))
+        m, _ = permuted_block_sum(np.random.default_rng(21), (1, 2, 2, 3, 4, 4, 1, 5, 6))
         dim = len(m)
         vals, vecs = hermitian_eigensystem(m, check_residuals=True)
         assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-12
         assert np.abs(vals - np.linalg.eigvalsh(m)).max() < 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_parallel_order_meets_every_pair_once_per_sweep(self, d):
+        p, q, mate = linalg._rounds(d)
+        assert (p < q).all() and q.max() < d
+        met = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+        assert met == list(itertools.combinations(range(d), 2))
+        for pr, qr, mr in zip(p, q, mate):
+            assert len(set(pr) | set(qr)) == pr.size + qr.size  # no index twice in a round
+            idle = np.setdiff1d(np.arange(d), np.r_[pr, qr])
+            assert (mr[pr] == qr).all() and (mr[qr] == pr).all() and (mr[idle] == idle).all()
+
+    def test_too_few_sweeps_raise(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(LinalgError, match="did not converge"):
+            hermitian_eigenvalues(random_hermitian(np.random.default_rng(22), 16))
 
 
 class TestBipartition:
