@@ -16,9 +16,7 @@ from .basis import (
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
-    PureStateVector,
     bell_projector,
-    bell_state,
     bell_vector,
     complement,
     enumerate_p_strings,
@@ -48,7 +46,6 @@ from .linalg import (
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    load_matrix,
     partial_trace,
     pt_spectrum,
     tensor,

@@ -1,15 +1,16 @@
 """Parity-classified bit strings and the GHZ/cat and Bell bases.
 
 Bit strings are ASCII '0'/'1' text with the first character belonging to
-qubit 1, the most significant bit of the basis index.  GHZ states are kept
-sparse (two amplitudes) and densified only at the matrix boundary.
+qubit 1, the most significant bit of the basis index.  A GHZ state is a
+dense vector with two nonzero amplitudes; a Bell vector is the two-qubit
+case, placed by its (parity, phase) label alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +24,6 @@ class BasisError(ValueError):
 def complement(bits: str) -> str:
     """Bitwise NOT, so <complement(x)|x> = 0 holds by construction."""
     return "".join("1" if b == "0" else "0" for b in bits)
-
-
-def bit_index(bits: str) -> int:
-    """Basis index of |bits>, qubit 1 most significant."""
-    return int(bits, 2)
 
 
 def _family_strings(n: int, zeros_parity: int) -> list[str]:
@@ -69,13 +65,6 @@ class BellLabel:
     def symbol(self) -> str:
         return ("phi" if self.parity == 0 else "psi") + ("+" if self.phase == 0 else "-")
 
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "BellLabel":
-        try:
-            return _BELL_BY_SYMBOL[symbol.lower()]
-        except KeyError:
-            raise BasisError(f"unknown Bell label {symbol!r}") from None
-
     def __str__(self) -> str:
         return self.symbol
 
@@ -85,70 +74,32 @@ PHI_MINUS = BellLabel(0, 1)
 PSI_PLUS = BellLabel(1, 0)
 PSI_MINUS = BellLabel(1, 1)
 BELL_LABELS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)  # canonical order
-_BELL_BY_SYMBOL = {b.symbol: b for b in BELL_LABELS}
 
 
-@dataclass(frozen=True)
-class PureStateVector:
-    """Sparse amplitude map over computational basis indices."""
-
-    qubits: int
-    amplitudes: dict[int, complex] = field(repr=False)
-
-    def __post_init__(self):
-        dim = 2**self.qubits
-        for idx in self.amplitudes:
-            if not 0 <= idx < dim:
-                raise BasisError(f"index {idx} out of range for {self.qubits} qubits")
-        norm = sum(abs(a) ** 2 for a in self.amplitudes.values())
-        if abs(norm - 1.0) > 1e-12:
-            raise BasisError(f"state norm^2 = {norm} is not 1")
-
-    def dense(self) -> np.ndarray:
-        v = np.zeros(2**self.qubits, dtype=complex)
-        for idx, amp in self.amplitudes.items():
-            v[idx] = amp
-        return v
-
-    def projector(self) -> np.ndarray:
-        dim = 2**self.qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        items = list(self.amplitudes.items())
-        for i, ai in items:
-            for j, aj in items:
-                m[i, j] = ai * np.conj(aj)
-        return m
-
-    def inner(self, other: "PureStateVector") -> complex:
-        if other.qubits != self.qubits:
-            raise BasisError("qubit counts differ")
-        return sum(
-            np.conj(amp) * other.amplitudes.get(idx, 0.0)
-            for idx, amp in self.amplitudes.items()
-        )
-
-
-def ghz_state(bits: str, sign: int) -> PureStateVector:
-    """(|x> + sign |~x>)/sqrt(2) for a bit string x."""
+def ghz_state(bits: str, sign: int) -> np.ndarray:
+    """(|x> + sign |~x>)/sqrt(2) for a bit string x, as a dense vector."""
     if sign not in (+1, -1):
         raise BasisError(f"sign must be +1 or -1, got {sign}")
     if set(bits) - {"0", "1"}:
         raise BasisError(f"not a bit string: {bits!r}")
-    return PureStateVector(
-        len(bits),
-        {bit_index(bits): SQRT_HALF, bit_index(complement(bits)): sign * SQRT_HALF},
-    )
-
-
-def bell_state(label: BellLabel) -> PureStateVector:
-    """The standard 2-qubit Bell vector for the given (parity, phase)."""
-    bits = "00" if label.parity == 0 else "01"
-    return ghz_state(bits, +1 if label.phase == 0 else -1)
+    v = np.zeros(2 ** len(bits), dtype=complex)
+    v[int(bits, 2)] = SQRT_HALF
+    v[int(complement(bits), 2)] = sign * SQRT_HALF
+    return v
 
 
 def bell_vector(label: BellLabel) -> np.ndarray:
-    return bell_state(label).dense()
+    """(|0 p> + (-1)^phase |1 ~p>)/sqrt(2) for p = parity: index p and its complement 3 - p."""
+    v = np.zeros(4, dtype=complex)
+    v[label.parity] = SQRT_HALF
+    v[3 - label.parity] = -SQRT_HALF if label.phase else SQRT_HALF
+    return v
 
 
 def bell_projector(label: BellLabel) -> np.ndarray:
-    return bell_state(label).projector()
+    """|b><b| written on its 2x2 support {p, 3 - p} as products of the real amplitudes."""
+    i, j = label.parity, 3 - label.parity
+    m = np.zeros((4, 4), dtype=complex)
+    m[i, i] = m[j, j] = SQRT_HALF * SQRT_HALF
+    m[i, j] = m[j, i] = SQRT_HALF * (-SQRT_HALF if label.phase else SQRT_HALF)
+    return m

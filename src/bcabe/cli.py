@@ -415,44 +415,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_args(p):
-        p.add_argument("--class", dest="state_class", metavar="CLS",
-                       help="rho+ | rho- | sigma+ | sigma-")
-        p.add_argument("--noisy", metavar="W", help="x+,x-,y+,y- convex weights")
-        p.add_argument("--n", type=int, required=True, help="even qubit count (4..ceiling)")
-        p.add_argument("--tol-ppt", type=float, default=None, help="override the PPT eigenvalue tolerance")
-        p.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
-        p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
+    report_args = argparse.ArgumentParser(add_help=False)  # every command takes these three
+    report_args.add_argument("--tol-ppt", type=float, default=None, help="override the PPT eigenvalue tolerance")
+    report_args.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
+    report_args.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 
-    p = sub.add_parser("construct", help="build a state and dump its matrix")
-    add_state_args(p)
+    state_args = argparse.ArgumentParser(add_help=False, parents=[report_args])
+    state_args.add_argument("--class", dest="state_class", metavar="CLS", help="rho+ | rho- | sigma+ | sigma-")
+    state_args.add_argument("--noisy", metavar="W", help="x+,x-,y+,y- convex weights")
+    state_args.add_argument("--n", type=int, required=True, help="even qubit count (4..ceiling)")
+
+    p = sub.add_parser("construct", parents=[state_args], help="build a state and dump its matrix")
     p.add_argument("--dump", metavar="PATH", help="write the matrix dump here instead of stdout")
 
-    p = sub.add_parser("verify", help="run the full verification checklist at one size")
+    p = sub.add_parser("verify", parents=[report_args], help="run the full verification checklist at one size")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol-ppt", type=float, default=None)
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--timings", action="store_true")
 
-    p = sub.add_parser("unlock", help="sequential pairwise Bell measurements")
-    add_state_args(p)
+    p = sub.add_parser("unlock", parents=[state_args], help="sequential pairwise Bell measurements")
     p.add_argument("--keep", metavar="i,j", help="pair left untouched (default 1,2)")
     p.add_argument("--pairing", metavar="i,j;k,l", help="explicit measured pairing")
 
-    p = sub.add_parser("discriminate", help="joint subspace discrimination by the grouped qubits")
-    add_state_args(p)
+    p = sub.add_parser("discriminate", parents=[state_args],
+                       help="joint subspace discrimination by the grouped qubits")
     p.add_argument("--keep", metavar="i,j", help="pair left out of the group (default 1,2)")
 
-    p = sub.add_parser("noisy-scan", help="sweep mixture weights and locate the w>1/2 transition")
+    p = sub.add_parser("noisy-scan", parents=[report_args],
+                       help="sweep mixture weights and locate the w>1/2 transition")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--line", choices=tuple(SCAN_LINES), default="two-term")
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--tol-ppt", type=float, default=None)
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--timings", action="store_true")
 
-    p = sub.add_parser("report", help="full classification report for one state")
-    add_state_args(p)
+    sub.add_parser("report", parents=[state_args], help="full classification report for one state")
 
     return parser
 
@@ -481,11 +474,13 @@ def main(argv: list[str] | None = None) -> int:
         stream.write(text)
         sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:
-        try:  # the interpreter flushes stdout again at exit; that must not fail a second time
-            sys.stdout.flush()
-        except OSError:  # stdout cannot take what it holds: let the null device have it
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # the interpreter flushes both streams again at exit; that must not fail a second time
+        for stream, text in ((sys.stdout, ""), (sys.stderr, f"error: {str(exc) or type(exc).__name__}\n")):
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:  # the stream cannot take what it holds: let the null device have it
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return USAGE_ERROR
     return 0 if ok else CHECK_FAILED
 

@@ -454,37 +454,3 @@ def dump_matrix(mat: np.ndarray) -> str:
             z = m[i, j]
             lines.append(f"{i} {j} {format_float(z.real)} {format_float(z.imag)}")
     return "\n".join(lines) + "\n"
-
-
-def load_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim="):
-        raise LinalgError("dump must start with a dim=<d> header")
-    try:
-        d = int(lines[0][4:])
-    except ValueError:
-        d = -1
-    if d < 0:
-        raise LinalgError(f"header {lines[0]!r} needs an integer dim >= 0")
-    if len(lines) != 1 + d * d:
-        raise LinalgError(f"expected {d * d} entry lines, got {len(lines) - 1}")
-    m = np.zeros((d, d), dtype=complex)
-    seen = set()
-    for ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 4:
-            raise LinalgError(f"entry line {ln!r} must have 4 fields: i j re im")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-            z = complex(float(fields[2]), float(fields[3]))
-        except ValueError:
-            raise LinalgError(f"entry line {ln!r} is not numeric") from None
-        if not np.isfinite(z):
-            raise LinalgError(f"entry ({i}, {j}) is not finite: {ln!r}")
-        if not (0 <= i < d and 0 <= j < d):
-            raise LinalgError(f"entry ({i}, {j}) out of range for dim {d}")
-        if (i, j) in seen:
-            raise LinalgError(f"entry ({i}, {j}) given twice")
-        seen.add((i, j))
-        m[i, j] = z
-    return m

@@ -32,6 +32,16 @@ def random_density_matrix(rng: np.random.Generator, qubits: int) -> DensityMatri
     return DensityMatrix(qubits, m / np.trace(m))
 
 
+def read_dump(text: str) -> np.ndarray:
+    """The matrix of a `dump_matrix` text: the header gives dim, the rows i j re im."""
+    dim = int(text.split("\n", 1)[0].removeprefix("dim="))
+    i, j, re, im = np.loadtxt(text.splitlines(), skiprows=1, ndmin=2, unpack=True)
+    m = np.zeros((dim, dim), dtype=complex)
+    m.real[i.astype(int), j.astype(int)] = re
+    m.imag[i.astype(int), j.astype(int)] = im
+    return m
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from bcabe import basis
 from bcabe.basis import (
     BELL_LABELS,
     BasisError,
@@ -14,9 +13,7 @@ from bcabe.basis import (
     PSI_MINUS,
     PSI_PLUS,
     bell_projector,
-    bell_state,
     bell_vector,
-    bit_index,
     complement,
     enumerate_p_strings,
     enumerate_q_strings,
@@ -79,10 +76,10 @@ class TestStringEnumeration:
 
 class TestGhzStates:
     def test_n2_reduction_is_bell(self):
-        assert ghz_state("00", +1).amplitudes == bell_state(PHI_PLUS).amplitudes
+        assert ghz_state("00", +1).tobytes() == bell_vector(PHI_PLUS).tobytes()
 
     def test_ghz_0000_minus(self):
-        v = ghz_state("0000", -1).dense()
+        v = ghz_state("0000", -1)
         expect = np.zeros(16, dtype=complex)
         expect[0] = 1 / math.sqrt(2)
         expect[15] = -1 / math.sqrt(2)
@@ -92,11 +89,11 @@ class TestGhzStates:
         for s in ("01", "0010", "110101"):
             plus = ghz_state(s, +1)
             minus = ghz_state(s, -1)
-            assert abs(plus.inner(minus)) < 1e-15
+            assert abs(np.vdot(plus, minus)) < 1e-15
 
     def test_amplitude_positions(self):
         st = ghz_state("0110", +1)
-        assert set(st.amplitudes) == {bit_index("0110"), bit_index("1001")}
+        assert np.flatnonzero(st).tolist() == [0b0110, 0b1001]
 
     def test_bad_inputs(self):
         with pytest.raises(BasisError):
@@ -111,7 +108,7 @@ def test_ghz_families_form_orthonormal_basis(n):
     for strings, sign in itertools.product(
         (enumerate_p_strings(n), enumerate_q_strings(n)), (+1, -1)
     ):
-        vectors.extend(ghz_state(s, sign).dense() for s in strings)
+        vectors.extend(ghz_state(s, sign) for s in strings)
     assert len(vectors) == 2**n
     m = np.array(vectors)
     gram = m.conj() @ m.T
@@ -148,13 +145,6 @@ class TestBellLabel:
             for b in BELL_LABELS:
                 assert a ^ b == b ^ a
 
-    def test_symbols_round_trip(self):
-        for label in BELL_LABELS:
-            assert BellLabel.from_symbol(label.symbol) == label
-        assert BellLabel.from_symbol("PHI+") == PHI_PLUS
-        with pytest.raises(BasisError):
-            BellLabel.from_symbol("omega+")
-
     def test_canonical_order(self):
         assert [b.symbol for b in BELL_LABELS] == ["phi+", "phi-", "psi+", "psi-"]
 
@@ -163,12 +153,30 @@ class TestBellLabel:
             BellLabel(2, 0)
 
 
-class TestPureStateVector:
-    def test_norm_enforced(self):
-        with pytest.raises(BasisError):
-            basis.PureStateVector(1, {0: 1.0, 1: 1.0})
+class TestIndexRulePinned:
+    """Literal bytes, so a -0.0 imaginary part or a last-bit change fails."""
 
-    def test_projector_matches_outer_product(self):
-        st = ghz_state("010", -1)
-        v = st.dense()
-        assert np.allclose(st.projector(), np.outer(v, v.conj()), atol=1e-15)
+    def test_bell_vectors_and_projectors(self):
+        h = 1 / math.sqrt(2)
+        q = h * h
+        literals = {
+            PHI_PLUS: ([h, 0, 0, h], [[q, 0, 0, q], [0, 0, 0, 0], [0, 0, 0, 0], [q, 0, 0, q]]),
+            PHI_MINUS: ([h, 0, 0, -h], [[q, 0, 0, -q], [0, 0, 0, 0], [0, 0, 0, 0], [-q, 0, 0, q]]),
+            PSI_PLUS: ([0, h, h, 0], [[0, 0, 0, 0], [0, q, q, 0], [0, q, q, 0], [0, 0, 0, 0]]),
+            PSI_MINUS: ([0, h, -h, 0], [[0, 0, 0, 0], [0, q, -q, 0], [0, -q, q, 0], [0, 0, 0, 0]]),
+        }
+        for label, (vec, proj) in literals.items():
+            assert bell_vector(label).tobytes() == np.array(vec, dtype=complex).tobytes()
+            assert bell_projector(label).tobytes() == np.array(proj, dtype=complex).tobytes()
+
+    def test_ghz_0110(self):
+        for sign in (+1, -1):
+            expect = np.zeros(16, dtype=complex)
+            expect.real[0b0110] = 1 / math.sqrt(2)
+            expect.real[0b1001] = sign / math.sqrt(2)
+            assert ghz_state("0110", sign).tobytes() == expect.tobytes()
+
+    def test_fresh_arrays(self):
+        for make in (bell_vector, bell_projector):
+            make(PSI_MINUS)[...] = 7
+            assert not (make(PSI_MINUS) == 7).any()

@@ -11,7 +11,7 @@ from bcabe import cli
 from bcabe.analyze import classify_abe
 from bcabe.cli import main, render_json
 from bcabe.construct import STATE_CLASSES, projector_direct
-from bcabe.linalg import load_matrix
+from conftest import read_dump
 
 
 def run(argv):
@@ -22,7 +22,7 @@ class TestConstruct:
     def test_dump_to_stdout_and_summary_on_stderr(self, capsys):
         assert run(["construct", "--class", "rho+", "--n", "4"]) == 0
         out, err = capsys.readouterr()
-        m = load_matrix(out)
+        m = read_dump(out)
         assert m.shape == (16, 16)
         assert np.trace(m).real == pytest.approx(1.0)
         assert "rank: 4" in err
@@ -37,7 +37,7 @@ class TestConstruct:
             ]
         )
         assert rc == 0
-        m = load_matrix(dump.read_text())
+        m = read_dump(dump.read_text())
         assert m.shape == (64, 64)
         data = json.loads(report.read_text())
         assert data["rank"] == 16
@@ -47,7 +47,7 @@ class TestConstruct:
     def test_noisy_uniform_is_maximally_mixed(self, capsys):
         assert run(["construct", "--noisy", "0.25,0.25,0.25,0.25", "--n", "4"]) == 0
         out, _ = capsys.readouterr()
-        m = load_matrix(out)
+        m = read_dump(out)
         assert np.abs(m - np.eye(16) / 16).max() < 1e-14
 
 
@@ -282,6 +282,21 @@ class TestOutputErrors:
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "--class", "rho+", "--n", "4"], ["verify", "--n", "4", "--tol-ppt", "-1"]],
+        ids=["construct-summary", "config-error"],
+    )
+    def test_full_stderr_exits_2(self, argv):
+        # exit 1 means "verification failed"; a lost error message is a usage/IO error
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "bcabe", *argv], stdout=subprocess.DEVNULL, stderr=full, env=env
+            )
+        assert done.returncode == 2
+
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         def exhausted(cfg):
             raise MemoryError
@@ -289,6 +304,21 @@ class TestOutputErrors:
         monkeypatch.setitem(cli.COMMANDS, "verify", exhausted)
         assert run(["verify", "--n", "4"]) == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_report_flags_documented_alike(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for flag, text in [
+            ("--tol-ppt TOL_PPT", "override the PPT eigenvalue tolerance"),
+            ("--json PATH", "write the JSON report to PATH"),
+            ("--timings", "include wall-clock timings in the report"),
+        ]:
+            assert any(ln.strip().startswith(flag) and ln.endswith(text) for ln in lines)
 
 
 class TestConfigErrors:

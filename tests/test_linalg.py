@@ -24,14 +24,13 @@ from bcabe.linalg import (
     group_qubits,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    load_matrix,
     partial_trace,
     pt_spectrum,
     swap_qubits,
     tensor,
     transpose_qubits,
 )
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_density_matrix, random_hermitian, read_dump
 
 
 class TestTensor:
@@ -405,50 +404,17 @@ class TestDumpFormat:
         lines = text.splitlines()
         assert lines[0] == "dim=4"
         assert len(lines) == 1 + 16
-        back = load_matrix(text)
+        back = read_dump(text)
         assert np.abs(back - dm.matrix).max() < 1e-16
 
     def test_negative_zero_normalized(self):
         m = np.array([[-0.0 + 0.0j]])
         assert "-0" not in dump_matrix(np.kron(m, np.eye(1)))
 
-    def test_duplicate_entry_rejected(self):
-        text = dump_matrix(np.eye(2)).replace("0 1 0 0", "0 0 1 0")
-        with pytest.raises(LinalgError, match="twice"):
-            load_matrix(text)
-
-    def test_out_of_range_index_rejected(self):
-        text = dump_matrix(np.eye(2)).replace("1 1 1 0", "2 1 1 0")
-        with pytest.raises(LinalgError, match="out of range"):
-            load_matrix(text)
-
-    def test_negative_index_rejected(self):
-        text = dump_matrix(np.eye(2)).replace("1 1 1 0", "-1 -1 7 0")
-        with pytest.raises(LinalgError, match="out of range"):
-            load_matrix(text)
-
-    def test_non_integer_dim_rejected(self):
-        with pytest.raises(LinalgError, match="integer dim >= 0"):
-            load_matrix("dim=x\n0 0 1 0\n")
-
-    def test_negative_dim_rejected(self):
-        with pytest.raises(LinalgError, match="integer dim >= 0"):
-            load_matrix("dim=-1\n0 0 1 0\n")
-
-    @pytest.mark.parametrize("line", ["0 0 1", "0 0 1 0 0"])
-    def test_entry_field_count_rejected(self, line):
-        with pytest.raises(LinalgError, match="4 fields"):
-            load_matrix(f"dim=1\n{line}\n")
-
-    @pytest.mark.parametrize("line", ["0 0 nan 0", "0 0 1 inf", "0 0 -inf 0"])
-    def test_non_finite_entry_rejected(self, line):
-        with pytest.raises(LinalgError, match="not finite"):
-            load_matrix(f"dim=1\n{line}\n")
-
     def test_17_digit_round_trip(self):
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)
-        assert load_matrix(dump_matrix(m))[0, 0].real == val
+        assert read_dump(dump_matrix(m))[0, 0].real == val
 
 
 class TestQubitLayout:
