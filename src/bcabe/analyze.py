@@ -30,10 +30,11 @@ from .construct import (
 from .linalg import (
     Bipartition,
     DensityMatrix,
-    frobenius_distance,
-    group_qubits,
-    hermitian_eigenvalues,
+    add_entries,
+    hermitian_eigenvalues,  # unused here; perfbench's tracer patches it in this namespace
+    norm_of,
     pt_spectrum,
+    split_index,
     swap_qubits,
     values_at,
 )
@@ -108,28 +109,30 @@ def certify_two_vs_rest_separable(
     the state has no such four-term form, not that it is entangled.
     """
     pair = (min(pair), max(pair))
-    grouped = group_qubits(rho.matrix, rho.qubits, pair)
-    outcomes = protocol.bell_measure_grouped(grouped, tol)
+    n, rest = rho.qubits, 2 ** (rho.qubits - 2)
+    outcomes = protocol.bell_measure(rho, pair, tol)
     weights = {o.label: o.probability for o in outcomes}
     factors = {o.label: o.post_state for o in outcomes}
     reason = None
-    # rebuild in the (pair, rest) layout of group_qubits, writing only the
-    # (a, b) blocks where a Bell projector is nonzero; C order whatever the
-    # strides of grouped, so the norm sums the residual in row-major order
-    rebuilt = np.zeros(grouped.shape, dtype=complex)
+    # the residual in group_qubits' (pair, rest) layout: each term on the (a, b)
+    # blocks of its Bell projector, in label order, then the state subtracted
+    rows, cols, vals = rho.entries()
+    (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
+    parts = []
     for label, tau in factors.items():
         if tau is None:
             continue
-        lo = float(hermitian_eigenvalues(tau.matrix, tol)[0])
+        lo = float(tau.eigenvalues(tol)[0])
         if lo < -tol.psd:
             reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
         proj = bell_projector(label)
-        for a, b in zip(*np.nonzero(proj)):
-            rebuilt[a, :, b, :] += weights[label] * (proj[a, b] * tau.matrix)
+        t_rows, t_cols, t_vals = tau.entries()
+        for i, j in zip(*np.nonzero(proj)):
+            parts.append((i * rest + t_rows, j * rest + t_cols, weights[label] * (proj[i, j] * t_vals)))
+    parts.append((a * rest + r, b * rest + s, -vals))
     if abs(sum(weights.values()) - 1.0) > tol.probability:
         reason = reason or f"weights sum to {sum(weights.values())!r}"
-    rebuilt -= grouped
-    err = float(np.linalg.norm(rebuilt))
+    err = norm_of(add_entries(4 * rest, parts)[2])
     if err > tol.certificate:
         reason = reason or f"reconstruction error {err:.3e}"
     return SeparabilityCertificate(pair, weights, factors, err, reason is None, reason)
@@ -212,18 +215,30 @@ class Check:
     detail: dict[str, float | int | bool | None]
 
 
-def _max_abs_product(a: np.ndarray, b: np.ndarray) -> float:
-    """max |(a @ b)[i, j]|, built row by row from the row's nonzero columns of a.
+def _completeness_error(states: list[DensityMatrix]) -> float:
+    """max |sum_k 2**(n-2) states[k] - I|, the terms added in order, then I subtracted."""
+    n = states[0].qubits
+    scaled = [(r, c, 2 ** (n - 2) * v) for r, c, v in (s.entries() for s in states)]
+    diag = np.arange(2**n)
+    return float(np.abs(add_entries(2**n, scaled + [(diag, diag, -np.ones(2**n))])[2]).max(initial=0.0))
 
-    The terms it leaves out are exact zeros, so this is the dense product's
-    value in O(nnz(a) * columns(b)) work instead of O(dim**3).
-    """
-    worst = 0.0
-    for row in a:
-        nz = np.flatnonzero(row)
-        if nz.size:
-            worst = max(worst, float(np.abs(row[nz] @ b[nz]).max()))
-    return worst
+
+def _overlap(a: DensityMatrix, b: DensityMatrix) -> float:
+    """max |(a b)[i, j]|: each entry (i, k) of a meets the entries (k, j) of b."""
+    a_rows, a_cols, a_vals = a.entries()
+    b_rows, b_cols, b_vals = b.entries()
+    start = np.searchsorted(b_rows, a_cols)
+    count = np.searchsorted(b_rows, a_cols, side="right") - start
+    left = np.repeat(np.arange(a_cols.size), count)
+    right = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    prod = (a_rows[left], b_cols[right], a_vals[left] * b_vals[right])
+    return float(np.abs(add_entries(a.dim, [prod])[2]).max(initial=0.0))
+
+
+def _distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Frobenius distance over the union of the two supports."""
+    b_rows, b_cols, b_vals = b.entries()
+    return norm_of(add_entries(a.dim, [a.entries(), (b_rows, b_cols, -b_vals)])[2])
 
 
 def check_family(
@@ -232,14 +247,13 @@ def check_family(
     """The four class states built directly, and the checks on them as a family.
 
     Their projectors sum to the identity, they are mutually orthogonal, and
-    the direct, recursive and Pauli constructions build the same states.
+    the direct, recursive and Pauli constructions build the same states. Each
+    check reads entries only, summed over the union of the supports involved.
     """
     direct = {cls: projector_direct(cls, n) for cls in STATE_CLASSES}
-    total = sum(2 ** (n - 2) * direct[cls].matrix for cls in STATE_CLASSES)
-    err = float(np.abs(total - np.eye(2**n)).max())
+    err = _completeness_error(list(direct.values()))
     overlap = max(
-        _max_abs_product(direct[a].matrix, direct[b].matrix)
-        for a, b in itertools.combinations(STATE_CLASSES, 2)
+        _overlap(direct[a], direct[b]) for a, b in itertools.combinations(STATE_CLASSES, 2)
     )
     checks = [
         Check("completeness", "all", err < tol.equality, {"max_error": err}),
@@ -249,9 +263,9 @@ def check_family(
         rec = projector_recursive(cls, n)
         pau = pauli_relate(direct[RHO_PLUS], cls)
         d = {
-            "direct_vs_recursive": frobenius_distance(direct[cls].matrix, rec.matrix),
-            "direct_vs_pauli": frobenius_distance(direct[cls].matrix, pau.matrix),
-            "recursive_vs_pauli": frobenius_distance(rec.matrix, pau.matrix),
+            "direct_vs_recursive": _distance(direct[cls], rec),
+            "direct_vs_pauli": _distance(direct[cls], pau),
+            "recursive_vs_pauli": _distance(rec, pau),
         }
         checks.append(Check("construction-triangle", cls.descriptor, max(d.values()) < tol.equality, d))
     return direct, checks

@@ -28,7 +28,7 @@ from .construct import (
     noisy_state,
     projector_direct,
 )
-from .linalg import DensityMatrix, dump_matrix, format_float, hermitian_eigenvalues
+from .linalg import DensityMatrix, dump_matrix, format_float
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -166,6 +166,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"--n must be even with 4 <= n <= {ceiling} "
                 f"(set {MAX_QUBITS_ENV} to raise the ceiling); got {n}"
             )
+    keep = _parse_pair(args.keep) if getattr(args, "keep", None) else None
+    if keep is not None and (keep[0] == keep[1] or not set(keep) <= set(range(1, n + 1))):
+        raise ConfigError(f"--keep must be two distinct qubits of 1..{n}; got {args.keep!r}")
     tol = DEFAULT_TOLERANCES
     if getattr(args, "tol_ppt", None) is not None:
         if not (math.isfinite(args.tol_ppt) and args.tol_ppt > 0):
@@ -179,7 +182,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         state_class=state_class,
         weights=weights,
         n=n if n is not None else 4,
-        keep=_parse_pair(args.keep) if getattr(args, "keep", None) else None,
+        keep=keep,
         pairing=_parse_pairing(args.pairing) if getattr(args, "pairing", None) else None,
         tolerances=tol,
         json_path=getattr(args, "json", None),
@@ -198,7 +201,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
     state.validate(cfg.tolerances)
-    eigs = hermitian_eigenvalues(state.matrix, cfg.tolerances)
+    eigs = state.eigenvalues(cfg.tolerances)
     rank = int((eigs > 1e-8).sum())
     report = {
         "command": "construct",

@@ -18,7 +18,7 @@ import numpy as np
 from . import basis
 from .basis import BELL_LABELS, BellLabel, bell_projector
 from .config import max_qubits
-from .linalg import DensityMatrix, PAULIS, group_qubits, tensor
+from .linalg import DensityMatrix, PAULIS, add_entries
 
 
 class ConstructError(ValueError):
@@ -88,7 +88,7 @@ def _check_size(n: int) -> None:
 
 
 def _mixture(weights: tuple[float, float, float, float], n: int) -> DensityMatrix:
-    """x+ rho+ + x- rho- + y+ sigma+ + y- sigma-, entry by entry.
+    """x+ rho+ + x- rho- + y+ sigma+ + y- sigma-, written as its entries.
 
     Index i pairs with ~i = (2**n - 1) XOR i. At even n both share the
     zero-count parity that picks rho or sigma, whose weights (w+, w-) give
@@ -97,12 +97,13 @@ def _mixture(weights: tuple[float, float, float, float], n: int) -> DensityMatri
     _check_size(n)
     idx = np.arange(2**n)
     parity = sum((idx >> bit) & 1 for bit in range(n)) & 1
-    family = np.reshape(weights, (2, 2)) + 0.0  # rows rho, sigma; + 0.0: no -0.0 entry
-    plus, minus = family[parity].T * 0.5 ** (n - 1)  # w+ h, w- h
-    m = np.zeros((2**n, 2**n), dtype=complex)
-    m[idx, idx] = plus + minus
-    m[idx, idx[::-1]] = plus - minus
-    return DensityMatrix(n, m)
+    plus, minus = np.reshape(weights, (2, 2))[parity].T * 0.5 ** (n - 1)  # w+ h, w- h
+    # row i holds (i, i) and (i, ~i), in column order: the diagonal first while i < ~i
+    first, diag, off = idx < idx[::-1], plus + minus, plus - minus
+    cols = np.stack([np.minimum(idx, idx[::-1]), np.maximum(idx, idx[::-1])], axis=1).ravel()
+    vals = np.stack([np.where(first, diag, off), np.where(first, off, diag)], axis=1).ravel()
+    nz = vals != 0
+    return DensityMatrix(n, (np.repeat(idx, 2)[nz], cols[nz], vals[nz]))
 
 
 def projector_direct(cls: StateClass, n: int) -> DensityMatrix:
@@ -112,29 +113,44 @@ def projector_direct(cls: StateClass, n: int) -> DensityMatrix:
 
 def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
     """Bell-correlated recursion: 1/4 sum_b [Bell_b]_(1,2) (x) state(cls^b, n-2),
-    built up from the Bell projectors at n = 2, each class once per level."""
+    built up from the Bell projectors at n = 2, each class once per level.
+
+    A level sums Kronecker products of entries (a Bell projector has four) in
+    label order, then divides by 4, as a dense `m += kron(...)` per term would.
+    """
     _check_size(n)
-    level = {c: bell_projector(c.label) for c in STATE_CLASSES}
+    level = {c: DensityMatrix(2, bell_projector(c.label)).entries() for c in STATE_CLASSES}
     for k in range(4, n + 1, 2):
-        below, level = level, {}
+        below, level, dim = level, {}, 2 ** (k - 2)
         for c in STATE_CLASSES if k < n else (cls,):
-            m = level[c] = np.zeros((2**k, 2**k), dtype=complex)
+            terms = []
             for b in BELL_LABELS:
-                m += tensor(bell_projector(b), below[c ^ b])
-            m /= 4.0
+                proj = bell_projector(b)
+                i, j = np.nonzero(proj)
+                r, s, v = below[c ^ b]
+                terms.append((i[:, None] * dim + r, j[:, None] * dim + s, proj[i, j][:, None] * v))
+            rows, cols, vals = add_entries(4 * dim, terms)
+            level[c] = (rows, cols, vals / 4.0)
     return DensityMatrix(n, level[cls])
 
 
 def pauli_relate(base: DensityMatrix, target: StateClass) -> DensityMatrix:
-    """Map rho+ onto `target` by conjugating with one Pauli on the last qubit."""
+    """Map rho+ onto `target` by conjugating with one Pauli on the last qubit.
+
+    A Pauli has one nonzero per row, at column t ^ flip of row t, so entry
+    (r, c) moves to (r ^ flip, c ^ flip), its value v becoming
+    P[r ^ flip, r] v conj(P[c ^ flip, c]) on the last bits.
+    """
     if target == RHO_PLUS:
         return base
-    n = base.qubits
     pauli = PAULIS[PAULI_FOR_LABEL[target.label]]
-    # qubits 1..n-1 then qubit n is the natural order, so no reordering back
-    grouped = group_qubits(base.matrix, n, range(1, n))
-    moved = np.einsum("ca,rasb,db->rcsd", pauli, grouped, pauli.conj())
-    return DensityMatrix(n, moved.reshape(2**n, 2**n))
+    flip = int(np.flatnonzero(pauli[0])[0])
+    rows, cols, vals = base.entries()
+    to_rows, to_cols = rows ^ flip, cols ^ flip
+    # + 0.0: summed from 0 like a dense conjugation, so no part is left at -0.0
+    vals = (pauli[to_rows & 1, rows & 1] * vals) * pauli[to_cols & 1, cols & 1].conj() + 0.0
+    order = np.argsort(to_rows * base.dim + to_cols)
+    return DensityMatrix(base.qubits, (to_rows[order], to_cols[order], vals[order]))
 
 
 def class_projector_unnormalized(cls: StateClass, n: int) -> np.ndarray:

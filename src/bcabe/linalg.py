@@ -1,16 +1,15 @@
-"""Dense complex kernel for multiqubit operators.
+"""Multiqubit states, held as their nonzero entries, and the kernels that read them.
 
-Matrices are plain complex128 numpy arrays of dimension 2**n, with qubit 1 as
-the most significant bit of the basis index: index(a_1 .. a_n) = sum a_j 2**(n-j).
-Everything here is a pure function of immutable inputs; the eigensolver reads
-a matrix as its nonzero entries and works on a private copy of them.
+Qubit 1 is the most significant bit of the basis index: index(a_1 .. a_n) =
+sum a_j 2**(n-j). Everything here is a pure function of immutable inputs; the
+eigensolver reads a matrix as its nonzero entries and works on a private copy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,32 +79,55 @@ class Bipartition:
         return f"{fmt(self.left)}|{fmt(self.right)}"
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A (presumed normalized) n-qubit state; the array is frozen on creation.
+DENSE_BUDGET = 2**30  # bytes of the largest dense matrix a state may be asked for
 
-    A complex128 array is adopted, not copied, and becomes read-only for its
-    caller too; any other input is converted once.
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """A (presumed normalized) n-qubit state.
+
+    `data` is a 2**n x 2**n array or the entries (rows, cols, vals) exactly as
+    `_entries` lists them: row-major, no stored zeros. Either is adopted, not
+    copied, and becomes read-only for its caller too; a non-complex array is
+    converted once. `matrix` is the dense array, given or built on first read.
     """
 
     qubits: int
-    matrix: np.ndarray = field(repr=False)
+    data: InitVar[np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2**self.qubits, 2**self.qubits):
-            raise LinalgError(
-                f"matrix shape {m.shape} does not match {self.qubits} qubits"
-            )
+    def __post_init__(self, data):
+        dim = 2**self.qubits
+        if isinstance(data, tuple):
+            rows, cols, vals = (np.asarray(a, t) for a, t in zip(data, (np.intp, np.intp, complex)))
+            keys = rows * dim + cols  # strictly increasing: row-major, each position once
+            if not (rows.shape == cols.shape == vals.shape == (keys.size,) and (np.diff(keys) > 0).all()
+                    and (vals != 0).all() and ((0 <= rows | cols) & (rows | cols < dim)).all()):
+                raise LinalgError(f"entries are not the row-major nonzeros of a {self.qubits}-qubit matrix")
+            for a in (rows, cols, vals):
+                a.setflags(write=False)
+            object.__setattr__(self, "_entries", (rows, cols, vals))
+            return
+        m = np.asarray(data, dtype=complex)
+        if m.shape != (dim, dim):
+            raise LinalgError(f"matrix shape {m.shape} does not match {self.qubits} qubits")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense array of an entries-built state."""
+        rows, cols, vals = self.entries()
+        m = _dense_zeros(self.qubits)
+        m[rows, cols] = vals
+        m.setflags(write=False)
+        return m
 
     @property
     def dim(self) -> int:
         return 2**self.qubits
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(trace_entries(self.dim, *self.entries()).real)
 
     def validate(self, tol: Tolerances = DEFAULT_TOLERANCES, psd: bool = False) -> None:
         """Check Hermiticity and unit trace over the nonzero entries; eigenvalue
@@ -122,7 +144,7 @@ class DensityMatrix:
             raise LinalgError(f"trace differs from 1 by {tr_err:.3e}")
         object.__setattr__(self, "_validated_under", tol)
         if psd:
-            lo = _jacobi(self.dim, rows, cols, vals, want_vectors=False, tol=tol)[0][0]
+            lo = self.eigenvalues(tol)[0]
             if lo < -tol.psd:
                 raise LinalgError(f"negative eigenvalue {lo:.3e}")
 
@@ -137,6 +159,47 @@ class DensityMatrix:
             for a in self._entries:
                 a.setflags(write=False)
         return self.__dict__["_entries"]
+
+    def eigenvalues(self, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+        """All real eigenvalues, ascending, solved on the entries."""
+        return _jacobi(self.dim, *self.entries(), want_vectors=False, tol=tol)[0]
+
+
+def _dense_zeros(n: int) -> np.ndarray:
+    """A zero 2**n x 2**n complex array, refused above DENSE_BUDGET before
+    anything is allocated."""
+    nbytes = 16 * 4**n
+    if nbytes > DENSE_BUDGET:
+        raise LinalgError(f"a dense {n}-qubit matrix needs {nbytes / 2**30:g} GiB, "
+                          f"over the {DENSE_BUDGET / 2**30:g} GiB budget")
+    return np.zeros((2**n, 2**n), dtype=complex)
+
+
+def trace_entries(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> complex:
+    """The trace of the dim x dim matrix with these nonzeros, with the bits of
+    np.trace: numpy sums the full diagonal, zeros included, pairwise by position."""
+    diag = np.zeros(dim, dtype=complex)
+    on = rows == cols
+    diag[rows[on]] = vals[on]
+    return complex(diag.sum())
+
+
+def add_entries(dim: int, terms: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros, row-major, of the dim x dim sum of the terms, each given as
+    (rows, cols, vals) arrays of one shape. Entries at one position are added
+    from 0 in the order given: the bits of a dense `+=` per term."""
+    rows, cols, vals = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*terms))
+    keys, at = np.unique(rows * dim + cols, return_inverse=True)
+    acc = np.zeros(keys.size, dtype=complex)
+    np.add.at(acc, at, vals)
+    nz = acc != 0
+    return keys[nz] // dim, keys[nz] % dim, acc[nz]
+
+
+def norm_of(vals: np.ndarray) -> float:
+    """Frobenius norm from the nonzero values: the correctly rounded sum of the
+    squared real and imaginary parts, which neither their order nor zeros move."""
+    return math.sqrt(math.fsum((np.concatenate([vals.real, vals.imag]) ** 2).tolist()))
 
 
 def _as_tensor(mat: np.ndarray, n: int) -> np.ndarray:
@@ -164,6 +227,26 @@ def swap_qubits(index, n: int, i: int, j: int):
     """Basis index (an int or an int array) with the bits of qubits i and j exchanged."""
     flip = (1 << (n - i)) | (1 << (n - j))
     return index ^ ((((index >> (n - i)) ^ (index >> (n - j))) & 1) * flip)
+
+
+def group_entries(rho: DensityMatrix, front: Sequence[int]) -> np.ndarray:
+    """group_qubits(rho.matrix, n, front), written from the entries: one dense
+    array in the grouped layout, with no dense view of the state beside it."""
+    n, k = rho.qubits, len(front)
+    rows, cols, vals = rho.entries()
+    (a, r), (b, s) = split_index(rows, n, front), split_index(cols, n, front)
+    out = _dense_zeros(n).reshape((2**k, 2 ** (n - k)) * 2)
+    out[a, r, b, s] = vals
+    return out
+
+
+def split_index(index, n: int, front: Sequence[int]):
+    """Basis index (an int or an int array) split the way group_qubits splits a
+    row or column: the bits of the `front` qubits, in the given order, and the
+    index of the remaining qubits, in ascending order."""
+    bit = lambda q: (index >> (n - q)) & 1
+    pack = lambda qs: sum((bit(q) << (len(qs) - 1 - i) for i, q in enumerate(qs)), index & 0)
+    return pack(list(front)), pack([q for q in range(1, n + 1) if q not in front])
 
 
 def pt_spectrum(

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BELL_LABELS, BellLabel, bell_vector
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import STATE_CLASSES, StateClass, class_projector_unnormalized
-from .linalg import DensityMatrix, group_qubits
+from .linalg import DensityMatrix, add_entries, group_entries, split_index, trace_entries
 
 
 class ProtocolError(ValueError):
@@ -91,28 +91,34 @@ def _normalize_pair(pair, n) -> tuple[int, int]:
     return (min(i, j), max(i, j))
 
 
+def _conditional_entries(rho: DensityMatrix, pair: tuple[int, int]) -> dict[BellLabel, tuple]:
+    """_conditional_operators(group_qubits(rho.matrix, n, pair)) as entries: each
+    (a, b) term reads the entries whose pair bits are (a, b), added a-major."""
+    n = rho.qubits
+    rows, cols, vals = rho.entries()
+    (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
+    out = {}
+    for label in BELL_LABELS:
+        v = bell_vector(label)
+        terms = []
+        for i, j in itertools.product(np.flatnonzero(v), repeat=2):
+            on = (a == i) & (b == j)
+            terms.append((r[on], s[on], (vals[on] * v[i].conj()) * v[j]))
+        out[label] = add_entries(2 ** (n - 2), terms)
+    return out
+
+
 def bell_measure(
-    rho: DensityMatrix,
-    pair: tuple[int, int],
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, pair: tuple[int, int], tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[MeasurementOutcome]:
-    """Projective Bell measurement of one pair; outcomes in canonical label order."""
+    """Projective Bell measurement of one pair, on the state's entries; outcomes in
+    canonical label order, each probability with the bits np.trace gives."""
     pair = _normalize_pair(pair, rho.qubits)
-    return bell_measure_grouped(group_qubits(rho.matrix, rho.qubits, pair), tol)
-
-
-def bell_measure_grouped(
-    grouped: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[MeasurementOutcome]:
-    """bell_measure of the leading pair of a state in group_qubits' (pair, rest) layout."""
-    rest = grouped.shape[1].bit_length() - 1
+    rest = rho.qubits - 2
     outcomes = []
-    for label, op in _conditional_operators(grouped).items():
-        p = float(np.trace(op).real)
-        if p > tol.zero_probability:
-            post = DensityMatrix(rest, op / p)
-        else:
-            post = None
+    for label, (rows, cols, vals) in _conditional_entries(rho, pair).items():
+        p = float(trace_entries(2**rest, rows, cols, vals).real)
+        post = DensityMatrix(rest, (rows, cols, vals / p)) if p > tol.zero_probability else None
         outcomes.append(MeasurementOutcome(label, p, post))
     return outcomes
 
@@ -170,7 +176,7 @@ def unlock_sequential(
             descend(op, index + 1, labels + (label,))
 
     order = [q for pair in pairing + (keep,) for q in pair]
-    descend(group_qubits(rho.matrix, n, order).reshape(rho.dim, rho.dim), 0, ())
+    descend(group_entries(rho, order).reshape(rho.dim, rho.dim), 0, ())
 
     live = [b for b in branches if b.state is not None]
     min_fid = min((b.fidelity for b in live), default=0.0)
@@ -210,7 +216,7 @@ def discriminate_subspace(
             f"group {group} must be all qubits of 1..{n} except one pair"
         )
     g = len(group)
-    split = group_qubits(rho.matrix, n, kept)
+    split = group_entries(rho, kept)
     outcomes = []
     for cls in STATE_CLASSES:
         op = np.einsum("agbh,hg->ab", split, class_projector_unnormalized(cls, g))

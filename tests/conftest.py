@@ -45,3 +45,11 @@ def read_dump(text: str) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def random_sparse_hermitian(rng: np.random.Generator, qubits: int, density: float) -> np.ndarray:
+    """A random Hermitian matrix with a symmetric pattern of about `density` nonzeros."""
+    m = random_hermitian(rng, 2**qubits)
+    keep = rng.random(m.shape) < density
+    m[~(keep | keep.T)] = 0.0
+    return m

@@ -1,14 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from bcabe import linalg
 from bcabe.analyze import (
+    _completeness_error,
+    _distance,
+    _overlap,
     bell_diagonal_entangled,
     certificate_pairs,
     certify_two_vs_rest_separable,
+    check_family,
     check_permutation_invariance,
     classify_abe,
+    gather_evidence,
     is_ppt,
     scan_all_cuts,
 )
@@ -19,6 +26,7 @@ from bcabe.construct import (
     STATE_CLASSES,
     bell_diagonal,
     noisy_state,
+    projector_direct,
 )
 from bcabe.linalg import (
     Bipartition,
@@ -29,7 +37,7 @@ from bcabe.linalg import (
     group_qubits,
     tensor,
 )
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_density_matrix, random_hermitian, random_sparse_hermitian
 
 MIXTURES = [NoisyWeights(0.7, 0.1, 0.1, 0.1), NoisyWeights(0.4, 0.2, 0.2, 0.2), NoisyWeights(0.553, 0.2, 0.147, 0.1)]
 
@@ -177,14 +185,16 @@ class TestSeparabilityCertificate:
 
 def _einsum_reconstruction_error(rho: DensityMatrix, cert) -> float:
     """The certificate's residual rebuilt densely: four outer products, then a
-    difference, in the order the terms are added."""
+    difference, in the order the terms are added. Its norm is the correctly
+    rounded sum of the squared parts, which no BLAS kernel or zero can move."""
     grouped = group_qubits(rho.matrix, rho.qubits, cert.pair)
     rest = 2 ** (rho.qubits - 2)
     rebuilt = np.zeros((4, rest, 4, rest), dtype=complex)
     for label, tau in cert.factors.items():
         if tau is not None:
             rebuilt += cert.weights[label] * np.einsum("ab,rs->arbs", bell_projector(label), tau.matrix)
-    return frobenius_distance(rebuilt, grouped)
+    residual = (rebuilt - grouped).ravel()
+    return math.sqrt(math.fsum(np.concatenate([residual.real, residual.imag]) ** 2))
 
 
 class TestReconstructionErrorBits:
@@ -202,6 +212,55 @@ class TestReconstructionErrorBits:
             for pair in certificate_pairs(n):
                 cert = certify_two_vs_rest_separable(rho, pair)
                 assert cert.reconstruction_error == _einsum_reconstruction_error(rho, cert), pair
+
+
+class TestFamilyChecksOnEntries:
+    """The family checks against dense computations on inputs with no structure."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("density", [1.0, 0.1, 0.01])
+    def test_completeness(self, n, density):
+        rng = np.random.default_rng(180 + n)
+        mats = [random_sparse_hermitian(rng, n, density) for _ in range(4)]
+        mats[0][np.diag_indices(2**n)] = 2.0 ** -(n - 2)  # sums to exactly 1 where the others are 0
+        dense = float(np.abs(sum(2 ** (n - 2) * m for m in mats) - np.eye(2**n)).max())
+        assert _completeness_error([DensityMatrix(n, m) for m in mats]) == dense
+
+    # a dense n = 8 product is 2**24 terms through the sparse join: slow, and no new case
+    @pytest.mark.parametrize("n, density", [(n, d) for n in (2, 4, 6, 8) for d in (1.0, 0.1, 0.01) if (n, d) != (8, 1.0)])
+    def test_orthogonality(self, n, density):
+        rng = np.random.default_rng(190 + n)
+        a, b = [random_sparse_hermitian(rng, n, density) for _ in range(2)]
+        dense = float(np.abs(a @ b).max())
+        assert _overlap(DensityMatrix(n, a), DensityMatrix(n, b)) == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("density", [1.0, 0.1, 0.01])
+    def test_distance(self, n, density):
+        rng = np.random.default_rng(200 + n)
+        a, b = [random_sparse_hermitian(rng, n, density) for _ in range(2)]
+        same = rng.random(a.shape) < 0.3
+        same |= same.T
+        b[same] = a[same]  # exact cancellations
+        diff = (a - b).ravel()
+        dense = math.sqrt(math.fsum(np.concatenate([diff.real, diff.imag]) ** 2))
+        assert _distance(DensityMatrix(n, a), DensityMatrix(n, b)) == dense
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_paper_family_exact(self, n):
+        states = [projector_direct(cls, n) for cls in STATE_CLASSES]
+        assert _completeness_error(states) == 0.0
+        assert all(_overlap(a, b) == 0.0 for a, b in itertools.combinations(states, 2))
+
+    def test_verify_never_densifies(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_BUDGET", 0)  # any dense view raises
+        states, checks = check_family(6)
+        assert all(c.passed for c in checks)
+        for rho in states.values():
+            assert all(c.passed for c in gather_evidence(rho).checks("state"))
+            assert "matrix" not in vars(rho)
+        with pytest.raises(LinalgError, match="budget"):
+            states[RHO_PLUS].matrix
 
 
 def _dense_permutation_deviation(rho: DensityMatrix) -> float:

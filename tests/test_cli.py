@@ -339,6 +339,19 @@ class TestConfigErrors:
             ["unlock", "--class", "rho+", "--n", "6", "--keep", "1,2", "--pairing", "3,4"]
         ) == 2
 
+    @pytest.mark.parametrize("keep", ["1,5", "2,2", "0,1"])
+    @pytest.mark.parametrize("command", ["unlock", "discriminate"])
+    def test_keep_checked_against_n(self, command, keep, capsys):
+        assert run([command, "--class", "rho+", "--n", "4", "--keep", keep]) == 2
+        assert capsys.readouterr().err == f"error: --keep must be two distinct qubits of 1..4; got '{keep}'\n"
+
+    def test_dense_view_over_budget_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("BCABE_MAX_N", "16")
+        assert run(["report", "--class", "rho+", "--n", "16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a dense 16-qubit matrix needs 64 GiB, over the 1 GiB budget\n"
+
     def test_bad_tol(self, capsys):
         assert run(["verify", "--n", "4", "--tol-ppt", "-1"]) == 2
 
@@ -417,11 +430,15 @@ class TestGoldenBytes:
         "unlock_noisy_n8": [
             "unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "8", "--keep", "1,3", "--pairing", "2,5;4,8;6,7",
         ],
+        "verify_n12": ["verify", "--n", "12"],
     }
+    ENV = {"verify_n12": {"BCABE_MAX_N": "12"}}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_output_matches_golden(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        for key, value in self.ENV.get(name, {}).items():
+            monkeypatch.setenv(key, value)
         assert run(self.CASES[name] + ["--json", f"{name}.json"]) == 0
         outputs = sorted(p.name for p in tmp_path.iterdir())
         assert outputs == sorted(p.name for p in GOLDEN_CLI.glob(f"{name}.*"))

@@ -24,7 +24,8 @@ from bcabe.construct import (
     projector_direct,
     projector_recursive,
 )
-from bcabe.linalg import DensityMatrix, frobenius_distance, partial_trace, tensor
+from bcabe import construct, linalg
+from bcabe.linalg import PAULIS, DensityMatrix, frobenius_distance, group_qubits, partial_trace, tensor
 
 
 class TestStateClass:
@@ -278,6 +279,72 @@ class TestIndexRule:
             assert np.array_equal(got, ref), vals
             for a, b in zip(_sign_bits(got), _sign_bits(ref)):
                 assert np.array_equal(a, b), vals
+
+
+def _same_entries(state: DensityMatrix, dense: np.ndarray) -> bool:
+    return all(a.tobytes() == b.tobytes() for a, b in zip(state.entries(), linalg._entries(dense)[1:]))
+
+
+def _dense_mixture(weights, n: int) -> np.ndarray:
+    """The index rule written into a dense array."""
+    idx = np.arange(2**n)
+    parity = np.array([bin(i).count("1") % 2 for i in idx])  # at even n, the zero-count parity
+    plus, minus = (np.reshape(weights, (2, 2)) + 0.0)[parity].T * 0.5 ** (n - 1)
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    m[idx, idx] = plus + minus
+    m[idx, idx[::-1]] = plus - minus
+    return m
+
+
+def _dense_recursion(cls, n: int) -> np.ndarray:
+    if n == 2:
+        return bell_projector(cls.label)
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    for b in BELL_LABELS:
+        m += np.kron(bell_projector(b), _dense_recursion(cls ^ b, n - 2))
+    m /= 4.0
+    return m
+
+
+def _dense_pauli_conjugation(base: np.ndarray, n: int, pauli: np.ndarray) -> np.ndarray:
+    grouped = group_qubits(base, n, range(1, n))
+    return np.einsum("ca,rasb,db->rcsd", pauli, grouped, pauli.conj()).reshape(2**n, 2**n)
+
+
+class TestEntriesMatchDenseOracles:
+    """Each construction route writes exactly the entries its dense oracle holds."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_mixture(self, n):
+        rng = np.random.default_rng(140 + n)
+        draws = [tuple(float(c == cls) for c in STATE_CLASSES) for cls in STATE_CLASSES]
+        draws += [(0.5, 0.5, 0.0, 0.0), (-0.0, 0.5, 0.0, 0.5), (0.5, 0.5, 1e-310, 0.0)]
+        draws += [tuple(rng.dirichlet(np.ones(4)).tolist()) for _ in range(4)]
+        for w in draws:
+            assert _same_entries(construct._mixture(w, n), _dense_mixture(w, n)), w
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_recursion(self, n):
+        for cls in STATE_CLASSES:
+            assert _same_entries(projector_recursive(cls, n), _dense_recursion(cls, n)), cls
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_pauli_conjugation_of_rho_plus(self, n):
+        base = projector_direct(RHO_PLUS, n)
+        for cls in STATE_CLASSES[1:]:
+            pauli = PAULIS[construct.PAULI_FOR_LABEL[cls.label]]
+            assert _same_entries(pauli_relate(base, cls), _dense_pauli_conjugation(base.matrix, n, pauli)), cls
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_pauli_conjugation_of_random_operators(self, n, density):
+        rng = np.random.default_rng(150 + n)
+        m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        m[rng.random(m.shape) > density] = 0.0
+        for cls in STATE_CLASSES[1:]:
+            pauli = PAULIS[construct.PAULI_FOR_LABEL[cls.label]]
+            got = pauli_relate(DensityMatrix(n, m.copy()), cls)
+            assert _same_entries(got, _dense_pauli_conjugation(m, n, pauli)), cls
 
 
 class TestBellDiagonal:

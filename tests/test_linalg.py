@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from bcabe.linalg import (
     tensor,
     transpose_qubits,
 )
-from conftest import random_density_matrix, random_hermitian, read_dump
+from conftest import random_density_matrix, random_hermitian, random_sparse_hermitian, read_dump
 
 
 class TestTensor:
@@ -394,6 +395,106 @@ class TestDensityMatrix:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(LinalgError):
             DensityMatrix(1, m).validate(psd=True)
+
+
+class TestEntriesState:
+    """A state built from its entries against the same state built dense."""
+
+    @pytest.mark.parametrize("density", [1.0, 0.2, 0.02])
+    def test_same_state_either_way(self, density):
+        m = random_sparse_hermitian(np.random.default_rng(130), 5, density)
+        rows, cols, vals = linalg._entries(m)[1:]
+        dm = DensityMatrix(5, (rows, cols, vals))
+        assert dm.entries()[0] is rows and not vals.flags.writeable  # adopted, frozen
+        assert dm.matrix.tobytes() == m.tobytes() and not dm.matrix.flags.writeable
+        assert dm.matrix is dm.matrix  # densified once, then kept
+        dense = DensityMatrix(5, m.copy())
+        assert dm.trace() == dense.trace() == float(np.trace(m).real)
+        assert dm.eigenvalues().tobytes() == hermitian_eigenvalues(m).tobytes()
+
+    def test_trace_has_the_bits_of_np_trace(self):
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            dim = int(rng.integers(2, 600))
+            m = np.zeros((dim, dim), dtype=complex)
+            on = rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)
+            m[on, on] = rng.standard_normal(on.size) * 10.0 ** rng.integers(-6, 6, on.size)
+            assert linalg.trace_entries(dim, *linalg._entries(m)[1:]) == np.trace(m)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ([0, 1], [1, 0], [1.0, 0.0]),  # a stored zero
+            ([1, 0], [0, 1], [1.0, 1.0]),  # not row-major
+            ([0, 0], [1, 1], [1.0, 1.0]),  # a position twice
+            ([0], [4], [1.0]),  # out of range
+            ([0, 1], [0], [1.0, 1.0]),  # ragged
+        ],
+    )
+    def test_malformed_entries_rejected(self, entries):
+        with pytest.raises(LinalgError, match="row-major nonzeros"):
+            DensityMatrix(2, tuple(np.array(a) for a in entries))
+
+    def test_dense_view_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("BCABE_MAX_N", "16")
+        rho = construct.projector_direct(construct.RHO_PLUS, 16)
+        rho.validate()
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinalgError, match="64 GiB, over the 1 GiB budget"):
+                rho.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_group_entries_is_group_qubits_of_the_dense_view(self, n):
+        m = random_sparse_hermitian(np.random.default_rng(134 + n), n, 0.3)
+        dm = DensityMatrix(n, linalg._entries(m)[1:])
+        for k in (1, 2, n - 1):
+            for front in itertools.permutations(range(1, n + 1), k):
+                grouped = linalg.group_entries(dm, front)
+                assert grouped.tobytes() == group_qubits(m, n, front).tobytes(), front
+        assert "matrix" not in vars(dm)
+
+    def test_group_entries_refused_over_budget(self, monkeypatch):
+        monkeypatch.setenv("BCABE_MAX_N", "14")
+        rho = construct.projector_direct(construct.RHO_PLUS, 14)
+        with pytest.raises(LinalgError, match="4 GiB, over the 1 GiB budget"):
+            linalg.group_entries(rho, (1, 2))
+
+    def test_budget_admits_twelve_qubits(self):
+        assert 16 * 4**12 <= linalg.DENSE_BUDGET < 16 * 4**14
+
+    def test_add_entries_is_the_dense_sum_term_by_term(self):
+        rng = np.random.default_rng(132)
+        for density in (1.0, 0.3, 0.05):
+            terms = [random_sparse_hermitian(rng, 4, density) for _ in range(4)]
+            terms[1][terms[0] != 0] *= -1  # some cancellations
+            dense = np.zeros((16, 16), dtype=complex)
+            for t in terms:
+                dense += t
+            got = linalg.add_entries(16, [linalg._entries(t)[1:] for t in terms])
+            want = linalg._entries(dense)[1:]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_norm_of_ignores_order_and_zeros(self):
+        rng = np.random.default_rng(133)
+        z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        padded = np.zeros(1000, dtype=complex)
+        padded[rng.choice(1000, 300, replace=False)] = z
+        assert linalg.norm_of(z) == linalg.norm_of(rng.permutation(z)) == linalg.norm_of(padded)
+        assert linalg.norm_of(z) == pytest.approx(float(np.linalg.norm(z)), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_split_index_is_group_qubits_layout(self, n):
+        m = np.arange(4**n, dtype=complex).reshape(2**n, 2**n) + 1
+        for front in itertools.permutations(range(1, n + 1), 2):
+            grouped = group_qubits(m, n, front)
+            rows, cols = np.divmod(np.arange(4**n), 2**n)
+            (a, r), (b, s) = linalg.split_index(rows, n, front), linalg.split_index(cols, n, front)
+            assert np.array_equal(grouped[a, r, b, s], m[rows, cols]), front
 
 
 class TestDumpFormat:

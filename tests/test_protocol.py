@@ -26,6 +26,7 @@ from bcabe.linalg import (
 )
 from bcabe.protocol import (
     ProtocolError,
+    _conditional_entries,
     _conditional_operators,
     bell_fidelity,
     bell_measure,
@@ -371,6 +372,34 @@ class TestConditionalOperatorsBits:
                 assert op.tobytes() == dense.tobytes(), (pair, label)
                 on_view = np.einsum("arbs,a,b->rs", grouped, v.conj(), v)
                 assert op.tobytes() == on_view.tobytes(), (pair, label)
+
+
+class TestConditionalEntries:
+    """bell_measure reads the state's entries; the dense grouping is its oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.05])
+    def test_bit_identical_to_dense_operators(self, n, density):
+        rng = np.random.default_rng(160 + n)
+        m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        m[rng.random(m.shape) > density] = 0.0
+        m[0, 0] = 1.0  # one nonzero at least
+        dm = DensityMatrix(n, m.copy())
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            dense = _conditional_operators(group_qubits(m, n, pair))
+            for label, (rows, cols, vals) in _conditional_entries(dm, pair).items():
+                got = DensityMatrix(n - 2, (rows, cols, vals)).matrix
+                assert got.tobytes() == dense[label].tobytes(), (pair, label)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_outcomes_bit_identical_to_dense_trace_and_division(self, n):
+        dm = random_density_matrix(np.random.default_rng(170 + n), n)
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            dense = _conditional_operators(group_qubits(dm.matrix, n, pair))
+            for o in bell_measure(dm, pair):
+                p = float(np.trace(dense[o.label]).real)
+                assert o.probability == p, (pair, o.label)
+                assert o.post_state.matrix.tobytes() == (dense[o.label] / p).tobytes(), (pair, o.label)
 
 
 def _unlock_regrouped_per_node(rho: DensityMatrix, keep, pairing):
