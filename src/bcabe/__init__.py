@@ -46,7 +46,6 @@ from .linalg import (
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    partial_trace,
     pt_spectrum,
     tensor,
 )

@@ -114,7 +114,7 @@ def certify_two_vs_rest_separable(
     weights = {o.label: o.probability for o in outcomes}
     factors = {o.label: o.post_state for o in outcomes}
     reason = None
-    # the residual in group_qubits' (pair, rest) layout: each term on the (a, b)
+    # the residual in split_index's (pair, rest) layout: each term on the (a, b)
     # blocks of its Bell projector, in label order, then the state subtracted
     rows, cols, vals = rho.entries()
     (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
@@ -383,10 +383,15 @@ def classify_abe(
 
     t0 = time.perf_counter()
     unlock = protocol.unlock_sequential(rho, (1, 2), tol=tol)
-    all_entangled = all(
-        b.state is not None and not is_ppt(b.state, _PAIR_CUT, tol).ppt
-        for b in unlock.branches
-    )
+    verdicts: dict[bytes, bool] = {}  # by entries: the paper's states leave four distinct branch states
+
+    def entangled(state: DensityMatrix) -> bool:
+        key = b"".join(a.tobytes() for a in state.entries())
+        if key not in verdicts:
+            verdicts[key] = not is_ppt(state, _PAIR_CUT, tol).ppt
+        return verdicts[key]
+
+    all_entangled = all(b.state is not None and entangled(b.state) for b in unlock.branches)
     activation = ActivationEvidence(
         unlock.keep, len(unlock.branches), unlock.min_fidelity, unlock.xor_rule_holds, all_entangled
     )

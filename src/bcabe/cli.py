@@ -33,7 +33,7 @@ from .linalg import DensityMatrix, dump_matrix, format_float
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_POINTS = 10001  # noisy-scan grid: w in steps of 1e-4
-DUMP_TEXT = "dump_text"  # report key carrying construct's matrix dump to main
+DUMP_MATRIX = "dump_matrix"  # report key carrying construct's matrix to main
 
 
 class ConfigError(ValueError):
@@ -200,6 +200,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
+    matrix = state.matrix  # refused over the dense budget, before any output
     state.validate(cfg.tolerances)
     eigs = state.eigenvalues(cfg.tolerances)
     rank = int((eigs > 1e-8).sum())
@@ -214,8 +215,8 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
         "dump": cfg.dump_path or "stdout",
         "checks": ["trace-normalization", "rank"],
         "tolerances": cfg.tolerances.as_dict(),
-        # written by main once the JSON report is out, then dropped from it
-        DUMP_TEXT: dump_matrix(state.matrix),
+        # dumped by main once the JSON report is out, then dropped from it
+        DUMP_MATRIX: matrix,
     }
     return report, True
 
@@ -460,19 +461,19 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         t0 = time.perf_counter()
         report, ok = COMMANDS[cfg.command](cfg)
-        dump = report.pop(DUMP_TEXT, None)
+        matrix = report.pop(DUMP_MATRIX, None)
         if cfg.include_timings and "timings" not in report:
             report["timings"] = {"total": time.perf_counter() - t0}
         payload = render_json(report) + "\n"
         if cfg.json_path:
             with open(cfg.json_path, "w") as fh:
                 fh.write(payload)
-        if dump is not None and cfg.dump_path:
+        if matrix is not None and cfg.dump_path:
             with open(cfg.dump_path, "w") as fh:
-                fh.write(dump)
+                fh.writelines(dump_matrix(matrix))
         text = "\n".join(render_text(report)) + "\n"
-        if dump is not None and not cfg.dump_path:
-            sys.stdout.write(dump)
+        if matrix is not None and not cfg.dump_path:
+            sys.stdout.writelines(dump_matrix(matrix))
         stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout
         stream.write(text)
         sys.stdout.flush()

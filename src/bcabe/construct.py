@@ -153,11 +153,6 @@ def pauli_relate(base: DensityMatrix, target: StateClass) -> DensityMatrix:
     return DensityMatrix(base.qubits, (to_rows[order], to_cols[order], vals[order]))
 
 
-def class_projector_unnormalized(cls: StateClass, n: int) -> np.ndarray:
-    """The rank-2**(n-2) subspace projector itself (trace 2**(n-2))."""
-    return projector_direct(cls, n).matrix * (2 ** (n - 2))
-
-
 @dataclass(frozen=True)
 class NoisyWeights:
     """Convex weights (x+, x-, y+, y-) over the four classes."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,51 +202,31 @@ def norm_of(vals: np.ndarray) -> float:
     return math.sqrt(math.fsum((np.concatenate([vals.real, vals.imag]) ** 2).tolist()))
 
 
-def _as_tensor(mat: np.ndarray, n: int) -> np.ndarray:
-    return mat.reshape((2,) * (2 * n))
-
-
-def group_qubits(mat: np.ndarray, n: int, front: Sequence[int]) -> np.ndarray:
-    """The matrix as a (2**k, 2**(n-k), 2**k, 2**(n-k)) array over k = len(front).
-
-    Row and column indices are each split into the `front` qubits, in the
-    given order, and the remaining qubits in ascending order. The result is
-    C-ordered for every choice of qubits.
-    """
-    front = [int(q) for q in front]
-    if len(set(front)) != len(front) or not set(front) <= set(range(1, n + 1)):
-        raise LinalgError(f"qubits {front} are not distinct qubits of 1..{n}")
-    rows = [q - 1 for q in front] + [q - 1 for q in range(1, n + 1) if q not in front]
-    t = _as_tensor(np.asarray(mat, dtype=complex), n)
-    k = len(front)
-    moved = t.transpose(rows + [n + a for a in rows]).reshape((2**k, 2 ** (n - k)) * 2)
-    return np.ascontiguousarray(moved)
-
-
 def swap_qubits(index, n: int, i: int, j: int):
     """Basis index (an int or an int array) with the bits of qubits i and j exchanged."""
     flip = (1 << (n - i)) | (1 << (n - j))
     return index ^ ((((index >> (n - i)) ^ (index >> (n - j))) & 1) * flip)
 
 
-def group_entries(rho: DensityMatrix, front: Sequence[int]) -> np.ndarray:
-    """group_qubits(rho.matrix, n, front), written from the entries: one dense
-    array in the grouped layout, with no dense view of the state beside it."""
-    n, k = rho.qubits, len(front)
-    rows, cols, vals = rho.entries()
-    (a, r), (b, s) = split_index(rows, n, front), split_index(cols, n, front)
-    out = _dense_zeros(n).reshape((2**k, 2 ** (n - k)) * 2)
-    out[a, r, b, s] = vals
-    return out
-
-
 def split_index(index, n: int, front: Sequence[int]):
-    """Basis index (an int or an int array) split the way group_qubits splits a
-    row or column: the bits of the `front` qubits, in the given order, and the
-    index of the remaining qubits, in ascending order."""
+    """Basis index (an int or an int array) split into the bits of the `front`
+    qubits, in the given order, and the index of the remaining qubits, in
+    ascending order."""
     bit = lambda q: (index >> (n - q)) & 1
     pack = lambda qs: sum((bit(q) << (len(qs) - 1 - i) for i, q in enumerate(qs)), index & 0)
     return pack(list(front)), pack([q for q in range(1, n + 1) if q not in front])
+
+
+def relabel_entries(rho: DensityMatrix, order: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries, row-major, of rho with its qubits in `order`: qubit k of the
+    result is qubit order[k-1] of rho. Row and column move by one bit permutation."""
+    n = rho.qubits
+    if sorted(order) != list(range(1, n + 1)):
+        raise LinalgError(f"{list(order)} is not a qubit ordering of 1..{n}")
+    rows, cols, vals = rho.entries()
+    rows, cols = split_index(rows, n, order)[0], split_index(cols, n, order)[0]
+    at = np.argsort(rows * rho.dim + cols)
+    return rows[at], cols[at], vals[at]
 
 
 def pt_spectrum(
@@ -276,22 +256,11 @@ def transpose_qubits(mat: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarr
     """Partial transpose of an arbitrary 1-based qubit subset."""
     if not set(qubits) <= set(range(1, n + 1)):
         raise LinalgError(f"qubits {qubits} out of range for n={n}")
-    t = _as_tensor(np.asarray(mat, dtype=complex), n)
+    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
     axes = list(range(2 * n))
     for q in qubits:
         axes[q - 1], axes[n + q - 1] = axes[n + q - 1], axes[q - 1]
     return t.transpose(axes).reshape(2**n, 2**n)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out everything but `keep`; result qubits follow ascending old labels."""
-    keep = tuple(sorted(set(keep)))
-    n = rho.qubits
-    if not keep:
-        raise LinalgError("keep set must be nonempty")
-    if not set(keep) <= set(range(1, n + 1)):
-        raise LinalgError(f"keep set {keep} out of range for n={n}")
-    return DensityMatrix(len(keep), np.einsum("arbr->ab", group_qubits(rho.matrix, n, keep)))
 
 
 def apply_qubit_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -301,8 +270,7 @@ def apply_qubit_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityM
     if sorted(perm) != list(range(1, n + 1)):
         raise LinalgError(f"{perm} is not a qubit ordering of 1..{n}")
     # qubit q of the output sits in input slot `slots[q - 1]`
-    slots = sorted(range(1, n + 1), key=lambda slot: perm[slot - 1])
-    return DensityMatrix(n, group_qubits(rho.matrix, n, slots).reshape(2**n, 2**n))
+    return DensityMatrix(n, relabel_entries(rho, sorted(range(1, n + 1), key=lambda slot: perm[slot - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +494,12 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dump_matrix(mat: np.ndarray) -> str:
+def dump_matrix(mat: np.ndarray) -> Iterator[str]:
+    """The dump of a square matrix in chunks: the header line, then one chunk per row."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    lines = [f"dim={d}"]
-    for i in range(d):
-        for j in range(d):
-            z = m[i, j]
-            lines.append(f"{i} {j} {format_float(z.real)} {format_float(z.imag)}")
-    return "\n".join(lines) + "\n"
+    yield f"dim={m.shape[0]}\n"
+    for i, row in enumerate(m):
+        parts = enumerate(zip(row.real.tolist(), row.imag.tolist()))
+        yield "".join(f"{i} {j} {format_float(re)} {format_float(im)}\n" for j, (re, im) in parts)

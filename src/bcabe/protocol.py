@@ -1,23 +1,25 @@
 """Exact simulation of the two activation protocols.
 
-Both protocols are simulated by full branch enumeration (no sampling):
-outcome trees stay small (at most 4**3 branches at n = 8), and exactness
-turns the protocol claims into equality tests.  Post-measurement operators
-are kept unnormalized along the way; a branch probability is simply the
-trace of its final operator.
+Both protocols are simulated by full branch enumeration (no sampling) on the
+state's nonzero entries: a measured pair takes one pass over them for all its
+outcomes (4**(n/2 - 1) unlock branches, 16384 at n = 16), and exactness turns
+the protocol claims into equality tests.  Post-measurement operators are kept
+unnormalized along the way; a branch probability is simply the trace of its
+final operator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .basis import BELL_LABELS, BellLabel, bell_vector
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .construct import STATE_CLASSES, StateClass, class_projector_unnormalized
-from .linalg import DensityMatrix, add_entries, group_entries, split_index, trace_entries
+from .construct import STATE_CLASSES, StateClass, projector_direct
+from .linalg import DensityMatrix, add_entries, relabel_entries, split_index, trace_entries, values_at
 
 
 class ProtocolError(ValueError):
@@ -68,20 +70,6 @@ def bell_fidelity(rho2: DensityMatrix) -> tuple[BellLabel, float]:
     return best_label, best
 
 
-def _conditional_operators(grouped: np.ndarray) -> dict[BellLabel, np.ndarray]:
-    """sum_ab conj(v_a) v_b grouped[a, :, b, :] per Bell vector v, over the
-    four (a, b) where v is nonzero, a-major: the bits einsum gives on a
-    C-ordered operand."""
-    out = {}
-    for label in BELL_LABELS:
-        v = bell_vector(label)
-        op = np.zeros_like(grouped[0, :, 0, :])
-        for a, b in itertools.product(np.flatnonzero(v), repeat=2):
-            op += (grouped[a, :, b, :] * v[a].conj()) * v[b]
-        out[label] = op
-    return out
-
-
 def _normalize_pair(pair, n) -> tuple[int, int]:
     i, j = int(pair[0]), int(pair[1])
     if i == j:
@@ -91,21 +79,46 @@ def _normalize_pair(pair, n) -> tuple[int, int]:
     return (min(i, j), max(i, j))
 
 
-def _conditional_entries(rho: DensityMatrix, pair: tuple[int, int]) -> dict[BellLabel, tuple]:
-    """_conditional_operators(group_qubits(rho.matrix, n, pair)) as entries: each
-    (a, b) term reads the entries whose pair bits are (a, b), added a-major."""
-    n = rho.qubits
-    rows, cols, vals = rho.entries()
-    (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
-    out = {}
-    for label in BELL_LABELS:
+def _measure_pair(n: int, entries: tuple[np.ndarray, ...], front: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Bell-measure the last two qubits of `front`, every outcome at once, on an
+    n-qubit operator's entries given row-major.
+
+    The result, row-major, has the `front` qubits first, in order, and the rest
+    after, ascending. It is block diagonal in the measured pair, whose two
+    qubits come to hold the outcome's index in BELL_LABELS: block k is the
+    unnormalized operator outcome k leaves, conj(v_a) v_b times the entries at
+    ((a, r), (b, s)) over the pair bits (a, b) where Bell vector v_k is
+    nonzero, added a-major.
+    """
+    rows, cols, vals = entries
+    rest = 2 ** (n - len(front))
+    (f, r), (g, s) = split_index(rows, n, front), split_index(cols, n, front)
+    a, b = f % 4, g % 4
+    stem_rows, stem_cols, pair_bits = (f - a) * rest + r, (g - b) * rest + s, 4 * a + b
+    terms = []
+    for k, label in enumerate(BELL_LABELS):
         v = bell_vector(label)
-        terms = []
         for i, j in itertools.product(np.flatnonzero(v), repeat=2):
-            on = (a == i) & (b == j)
-            terms.append((r[on], s[on], (vals[on] * v[i].conj()) * v[j]))
-        out[label] = add_entries(2 ** (n - 2), terms)
-    return out
+            on = pair_bits == 4 * i + j
+            terms.append((stem_rows[on] + k * rest, stem_cols[on] + k * rest, (vals[on] * v[i].conj()) * v[j]))
+    return add_entries(2**n, terms)
+
+
+def _diagonal_blocks(entries: tuple[np.ndarray, ...], count: int, size: int) -> list[tuple[np.ndarray, ...]]:
+    """The `count` diagonal size x size blocks, each as its own row-major
+    entries, of a block-diagonal operator whose entries are given row-major."""
+    rows, cols, vals = entries
+    ends = np.searchsorted(rows, np.arange(count + 1) * size)
+    return [
+        (rows[x:y] - t * size, cols[x:y] - t * size, vals[x:y])
+        for t, (x, y) in enumerate(zip(ends[:-1], ends[1:]))
+    ]
+
+
+def _conditional_entries(rho: DensityMatrix, pair: tuple[int, int]) -> dict[BellLabel, tuple]:
+    """The unnormalized operator on the other qubits per Bell outcome of the pair, as entries."""
+    n = rho.qubits
+    return dict(zip(BELL_LABELS, _diagonal_blocks(_measure_pair(n, rho.entries(), pair), 4, 2 ** (n - 2))))
 
 
 def bell_measure(
@@ -156,27 +169,22 @@ def unlock_sequential(
             f"pairing {pairing} must cover the non-kept qubits {expected} exactly"
         )
 
-    # depth-first over outcome tuples, carrying unnormalized conditional operators.
-    # ρ is grouped once, pairs in measuring order and the kept pair last, so
-    # each level's pair is the leading one of the operator it measures
+    # ρ is relabelled once, pairs in measuring order and the kept pair last;
+    # level d measures the pair after the 2d qubits that hold the earlier
+    # outcomes, so block t of the measured operator is branch t of the tree
+    measured = relabel_entries(rho, [q for pair in pairing + (keep,) for q in pair])
+    for depth in range(len(pairing)):
+        measured = _measure_pair(n, measured, range(1, 2 * depth + 3))
+    outcomes = itertools.product(BELL_LABELS, repeat=len(pairing))
     branches: list[UnlockBranch] = []
-
-    def descend(mat: np.ndarray, index: int, labels: tuple[BellLabel, ...]):
-        if index == len(pairing):
-            p = float(np.trace(mat).real)
-            if p > tol.zero_probability:
-                state = DensityMatrix(2, mat / p)
-                best, fid = bell_fidelity(state)
-                branches.append(UnlockBranch(labels, p, state, best, fid))
-            else:
-                branches.append(UnlockBranch(labels, max(p, 0.0), None, None, None))
-            return
-        rest = mat.shape[0] // 4
-        for label, op in _conditional_operators(mat.reshape(4, rest, 4, rest)).items():
-            descend(op, index + 1, labels + (label,))
-
-    order = [q for pair in pairing + (keep,) for q in pair]
-    descend(group_entries(rho, order).reshape(rho.dim, rho.dim), 0, ())
+    for labels, (rows, cols, vals) in zip(outcomes, _diagonal_blocks(measured, 4 ** len(pairing), 4)):
+        p = float(trace_entries(4, rows, cols, vals).real)
+        if p > tol.zero_probability:
+            state = DensityMatrix(2, (rows, cols, vals / p))
+            best, fid = bell_fidelity(state)
+            branches.append(UnlockBranch(labels, p, state, best, fid))
+        else:
+            branches.append(UnlockBranch(labels, max(p, 0.0), None, None, None))
 
     live = [b for b in branches if b.state is not None]
     min_fid = min((b.fidelity for b in live), default=0.0)
@@ -204,9 +212,10 @@ def discriminate_subspace(
     probability 1/4 and leaves the kept pair in the correlated Bell state.
 
     Only the kept pair's operator is needed, and for a projector P on the group
-    Tr_group[(I⊗P) rho (I⊗P)] = Tr_group[(I⊗P) rho], so each outcome is one
-    contraction of rho against P over the group's indices: O(4**n) work, with
-    no 2**n x 2**n product formed.
+    Tr_group[(I⊗P) rho (I⊗P)] = Tr_group[(I⊗P) rho]: entry (a, b) of outcome
+    k is sum_{g,h} rho[(a, g), (b, h)] P_k[h, g]. P_k is nonzero only at
+    (g, g) and (g, ~g) for g of class k's parity, so each outcome reads O(2**n)
+    of the state's entries, and no projector or 2**n x 2**n array is formed.
     """
     n = rho.qubits
     group = tuple(sorted(int(q) for q in group))
@@ -215,12 +224,19 @@ def discriminate_subspace(
         raise ProtocolError(
             f"group {group} must be all qubits of 1..{n} except one pair"
         )
-    g = len(group)
-    split = group_entries(rho, kept)
+    m = len(group)
+    rows, cols, vals = rho.entries()
+    (a, g), (b, h) = split_index(rows, n, kept), split_index(cols, n, kept)
     outcomes = []
     for cls in STATE_CLASSES:
-        op = np.einsum("agbh,hg->ab", split, class_projector_unnormalized(cls, g))
-        p = float(np.trace(op).real)
-        post = DensityMatrix(2, op / p) if p > tol.zero_probability else None
+        # P_k[h, g] at each entry: the projector is 2**(m-2) times the class state
+        weight = values_at(2**m, projector_direct(cls, m).entries(), h, g) * 2 ** (m - 2)
+        on = weight != 0
+        # the sum over h for each (a, b, g), which row-major entries reach in
+        # ascending h, then the sum of those over ascending g
+        ab, _, part = add_entries(2**m, [(4 * a[on] + b[on], g[on], vals[on] * weight[on])])
+        op_rows, op_cols, op = add_entries(4, [(ab // 4, ab % 4, part)])
+        p = float(trace_entries(4, op_rows, op_cols, op).real)
+        post = DensityMatrix(2, (op_rows, op_cols, op / p)) if p > tol.zero_probability else None
         outcomes.append(MeasurementOutcome(cls, p, post))
     return outcomes

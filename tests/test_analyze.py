@@ -34,10 +34,10 @@ from bcabe.linalg import (
     LinalgError,
     apply_qubit_permutation,
     frobenius_distance,
-    group_qubits,
     tensor,
 )
 from conftest import random_density_matrix, random_hermitian, random_sparse_hermitian
+from dense_oracle import group_qubits
 
 MIXTURES = [NoisyWeights(0.7, 0.1, 0.1, 0.1), NoisyWeights(0.4, 0.2, 0.2, 0.2), NoisyWeights(0.553, 0.2, 0.147, 0.1)]
 

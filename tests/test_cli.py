@@ -347,7 +347,8 @@ class TestConfigErrors:
 
     def test_dense_view_over_budget_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("BCABE_MAX_N", "16")
-        assert run(["report", "--class", "rho+", "--n", "16"]) == 2
+        # report, unlock and discriminate run on entries at n = 16; the dump still needs the dense matrix
+        assert run(["construct", "--class", "rho+", "--n", "16"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: a dense 16-qubit matrix needs 64 GiB, over the 1 GiB budget\n"

@@ -25,7 +25,8 @@ from bcabe.construct import (
     projector_recursive,
 )
 from bcabe import construct, linalg
-from bcabe.linalg import PAULIS, DensityMatrix, frobenius_distance, group_qubits, partial_trace, tensor
+from bcabe.linalg import PAULIS, DensityMatrix, frobenius_distance, tensor
+from dense_oracle import group_qubits, partial_trace
 
 
 class TestStateClass:

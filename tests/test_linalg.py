@@ -22,16 +22,15 @@ from bcabe.linalg import (
     apply_qubit_permutation,
     dump_matrix,
     frobenius_distance,
-    group_qubits,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    partial_trace,
     pt_spectrum,
     swap_qubits,
     tensor,
     transpose_qubits,
 )
 from conftest import random_density_matrix, random_hermitian, random_sparse_hermitian, read_dump
+from dense_oracle import group_entries, group_qubits, partial_trace
 
 
 class TestTensor:
@@ -454,7 +453,7 @@ class TestEntriesState:
         dm = DensityMatrix(n, linalg._entries(m)[1:])
         for k in (1, 2, n - 1):
             for front in itertools.permutations(range(1, n + 1), k):
-                grouped = linalg.group_entries(dm, front)
+                grouped = group_entries(dm, front)
                 assert grouped.tobytes() == group_qubits(m, n, front).tobytes(), front
         assert "matrix" not in vars(dm)
 
@@ -462,7 +461,7 @@ class TestEntriesState:
         monkeypatch.setenv("BCABE_MAX_N", "14")
         rho = construct.projector_direct(construct.RHO_PLUS, 14)
         with pytest.raises(LinalgError, match="4 GiB, over the 1 GiB budget"):
-            linalg.group_entries(rho, (1, 2))
+            group_entries(rho, (1, 2))
 
     def test_budget_admits_twelve_qubits(self):
         assert 16 * 4**12 <= linalg.DENSE_BUDGET < 16 * 4**14
@@ -501,7 +500,7 @@ class TestDumpFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(20)
         dm = random_density_matrix(rng, 2)
-        text = dump_matrix(dm.matrix)
+        text = "".join(dump_matrix(dm.matrix))
         lines = text.splitlines()
         assert lines[0] == "dim=4"
         assert len(lines) == 1 + 16
@@ -510,19 +509,24 @@ class TestDumpFormat:
 
     def test_negative_zero_normalized(self):
         m = np.array([[-0.0 + 0.0j]])
-        assert "-0" not in dump_matrix(np.kron(m, np.eye(1)))
+        assert "-0" not in "".join(dump_matrix(np.kron(m, np.eye(1))))
 
     def test_17_digit_round_trip(self):
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)
-        assert read_dump(dump_matrix(m))[0, 0].real == val
+        assert read_dump("".join(dump_matrix(m)))[0, 0].real == val
+
+    def test_one_chunk_per_row(self):
+        chunks = list(dump_matrix(np.arange(9, dtype=complex).reshape(3, 3)))
+        assert chunks[0] == "dim=3\n" and len(chunks) == 4
+        assert chunks[2] == "1 0 3 0\n1 1 4 0\n1 2 5 0\n"
 
 
 class TestQubitLayout:
     def test_only_linalg_builds_the_qubit_tensor(self):
         # the qubit-to-index-bit layout is decided in linalg alone; other
-        # modules group qubits through linalg.group_qubits and move index
-        # bits through linalg.swap_qubits
+        # modules split indices through linalg.split_index, relabel through
+        # linalg.relabel_entries and move index bits through linalg.swap_qubits
         offenders = [
             f"{path.name}:{i}"
             for path in sorted(Path(bcabe.__file__).parent.glob("*.py"))

@@ -13,11 +13,11 @@ from bcabe.linalg import (
     apply_qubit_permutation,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    partial_trace,
     tensor,
     transpose_qubits,
 )
 from conftest import random_density_matrix, random_hermitian
+from dense_oracle import partial_trace
 
 SETTINGS = settings(deadline=None, max_examples=100)
 

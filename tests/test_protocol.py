@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcabe.basis import BELL_LABELS, PHI_MINUS, PHI_PLUS, PSI_MINUS, bell_projector
 from bcabe.config import DEFAULT_TOLERANCES
@@ -11,7 +12,6 @@ from bcabe.construct import (
     SIGMA_MINUS,
     STATE_CLASSES,
     bell_diagonal,
-    class_projector_unnormalized,
     noisy_state,
     projector_direct,
 )
@@ -20,14 +20,13 @@ from bcabe.linalg import (
     DensityMatrix,
     apply_qubit_permutation,
     frobenius_distance,
-    group_qubits,
     hermitian_eigenvalues,
     tensor,
 )
 from bcabe.protocol import (
     ProtocolError,
     _conditional_entries,
-    _conditional_operators,
+    _xor_all,
     bell_fidelity,
     bell_measure,
     default_pairing,
@@ -35,6 +34,13 @@ from bcabe.protocol import (
     unlock_sequential,
 )
 from conftest import random_density_matrix
+from dense_oracle import (
+    class_projector_unnormalized,
+    conditional_operators,
+    discriminate_operators,
+    group_qubits,
+    unlock_leaves,
+)
 
 
 class TestBellFidelity:
@@ -364,7 +370,7 @@ class TestConditionalOperatorsBits:
         m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         for pair in itertools.combinations(range(1, n + 1), 2):
             grouped = group_qubits(m, n, pair)
-            ops = _conditional_operators(grouped)
+            ops = conditional_operators(grouped)
             assert list(ops) == list(BELL_LABELS)
             for label, op in ops.items():
                 v = bell_vector(label)
@@ -386,7 +392,7 @@ class TestConditionalEntries:
         m[0, 0] = 1.0  # one nonzero at least
         dm = DensityMatrix(n, m.copy())
         for pair in itertools.combinations(range(1, n + 1), 2):
-            dense = _conditional_operators(group_qubits(m, n, pair))
+            dense = conditional_operators(group_qubits(m, n, pair))
             for label, (rows, cols, vals) in _conditional_entries(dm, pair).items():
                 got = DensityMatrix(n - 2, (rows, cols, vals)).matrix
                 assert got.tobytes() == dense[label].tobytes(), (pair, label)
@@ -395,7 +401,7 @@ class TestConditionalEntries:
     def test_outcomes_bit_identical_to_dense_trace_and_division(self, n):
         dm = random_density_matrix(np.random.default_rng(170 + n), n)
         for pair in itertools.combinations(range(1, n + 1), 2):
-            dense = _conditional_operators(group_qubits(dm.matrix, n, pair))
+            dense = conditional_operators(group_qubits(dm.matrix, n, pair))
             for o in bell_measure(dm, pair):
                 p = float(np.trace(dense[o.label]).real)
                 assert o.probability == p, (pair, o.label)
@@ -415,7 +421,7 @@ def _unlock_regrouped_per_node(rho: DensityMatrix, keep, pairing):
         pair = sorted(pairing[index])
         local = [alive.index(q) + 1 for q in pair]
         remaining = [q for q in alive if q not in pair]
-        for label, op in _conditional_operators(group_qubits(mat, len(alive), local)).items():
+        for label, op in conditional_operators(group_qubits(mat, len(alive), local)).items():
             descend(op, remaining, index + 1, labels + (label,))
 
     descend(rho.matrix, list(range(1, rho.qubits + 1)), 0, ())
@@ -439,3 +445,118 @@ class TestUnlockGroupsOnce:
                 p = float(np.trace(mat).real)
                 assert branch.probability == p
                 assert branch.state.matrix.tobytes() == (mat / p).tobytes()
+
+
+MIXTURES = [
+    NoisyWeights(0.7, 0.1, 0.1, 0.1),
+    NoisyWeights(0.4, 0.2, 0.2, 0.2),
+    NoisyWeights(0.553, 0.2, 0.147, 0.1),
+    NoisyWeights(0.1, 0.623, 0.177, 0.1),
+]
+
+
+def _paper_states(n):
+    return [projector_direct(cls, n) for cls in STATE_CLASSES] + [noisy_state(w, n) for w in MIXTURES]
+
+
+def _unlock_against_oracle(rho, keep, pairing, same):
+    """Every branch of unlock_sequential against the dense oracle's operator:
+    `same(got, want)` on the probability, the post state and the fidelity."""
+    result = unlock_sequential(rho, keep, pairing)
+    leaves = unlock_leaves(rho, result.keep, result.pairing)
+    assert [b.labels for b in result.branches] == [labels for labels, _ in leaves]
+    for branch, (_, mat) in zip(result.branches, leaves):
+        p = float(np.trace(mat).real)
+        same(np.array(branch.probability), np.array(p))
+        same(branch.state.matrix, mat / p)
+        same(np.array(branch.fidelity), np.array(bell_fidelity(DensityMatrix(2, mat / p))[1]))
+
+
+def _discriminate_against_oracle(rho, kept, same):
+    kept = tuple(sorted(kept))  # the order discriminate_subspace leaves the pair in
+    group = tuple(q for q in range(1, rho.qubits + 1) if q not in kept)
+    outcomes = discriminate_subspace(rho, group)
+    assert [o.label for o in outcomes] == list(STATE_CLASSES)
+    for o, op in zip(outcomes, discriminate_operators(rho, kept)):
+        p = float(np.trace(op).real)
+        same(np.array(o.probability), np.array(p))
+        same(o.post_state.matrix, op / p)
+        same(np.array(bell_fidelity(o.post_state)[1]), np.array(bell_fidelity(DensityMatrix(2, op / p))[1]))
+
+
+def _bytes_equal(got, want):
+    assert got.tobytes() == want.tobytes()
+
+
+class TestEntriesAgainstDenseOracle:
+    """unlock and discriminate read the state's entries; the dense grouped array is their oracle."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_paper_states_bit_for_bit(self, n, monkeypatch):
+        monkeypatch.setenv("BCABE_MAX_N", str(n))
+        for rho in _paper_states(n):
+            _unlock_against_oracle(rho, (1, 3), None, _bytes_equal)
+            # the pairs measured last-first, each given high qubit first
+            reversed_pairing = tuple(zip(range(n, 4, -2), range(n - 1, 4, -2))) + ((1, 3),)
+            _unlock_against_oracle(rho, (4, 2), reversed_pairing, _bytes_equal)
+            _discriminate_against_oracle(rho, (2, 4), _bytes_equal)
+            _discriminate_against_oracle(rho, (1, n), _bytes_equal)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(min_value=2, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_states_within_rounding(self, half, seed):
+        n = 2 * half
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, n)
+        order = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+
+        def same(got, want):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+        _unlock_against_oracle(rho, (order[0], order[1]), tuple(zip(order[2::2], order[3::2])), same)
+        _discriminate_against_oracle(rho, (order[0], order[1]), same)
+
+
+def _outcomes(result):
+    """The multiset of (probability, best label XOR measured labels)."""
+    return sorted((b.probability, (b.best_label ^ _xor_all(b.labels)).symbol) for b in result.branches)
+
+
+class TestUnlockMetamorphic:
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_outcomes_do_not_depend_on_pairing(self, n):
+        # the paper's states are permutation invariant, so any keep pair and
+        # pairing leaves the same outcome multiset, to the last bit
+        rng = np.random.default_rng(180 + n)
+        for rho in _paper_states(n):
+            reference = _outcomes(unlock_sequential(rho, (1, 2)))
+            for _ in range(3):
+                order = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+                pairing = tuple(zip(order[2::2], order[3::2]))
+                assert _outcomes(unlock_sequential(rho, (order[0], order[1]), pairing)) == reference
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_relabelling_qubits_commutes_with_unlock(self, n):
+        # unlock of the relabelled state, on the relabelled keep pair and
+        # pairing, is unlock of the state; a kept pair whose order flips
+        # comes back swapped
+        rng = np.random.default_rng(190 + n)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        for _ in range(3):
+            rho = random_density_matrix(rng, n)
+            perm = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+            order = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+            keep, pairing = (order[0], order[1]), tuple(zip(order[2::2], order[3::2]))
+            moved = unlock_sequential(
+                apply_qubit_permutation(rho, perm),
+                (perm[keep[0] - 1], perm[keep[1] - 1]),
+                tuple((perm[i - 1], perm[j - 1]) for i, j in pairing),
+            )
+            result = unlock_sequential(rho, keep, pairing)
+            flipped = (perm[keep[0] - 1] > perm[keep[1] - 1]) != (keep[0] > keep[1])
+            assert [b.labels for b in moved.branches] == [b.labels for b in result.branches]
+            for b, m in zip(result.branches, moved.branches):
+                assert abs(m.probability - b.probability) < 1e-15
+                post = swap @ m.state.matrix @ swap if flipped else m.state.matrix
+                assert np.abs(post - b.state.matrix).max() < 1e-13
+                assert m.best_label == b.best_label
