@@ -23,7 +23,7 @@ from .basis import (
     enumerate_q_strings,
     ghz_state,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances, max_qubits
+from .config import max_qubits
 from .construct import (
     NoisyWeights,
     RHO_MINUS,

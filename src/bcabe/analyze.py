@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BellLabel, bell_projector
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOL
 from .construct import (
     NoisyWeights,
     RHO_PLUS,
@@ -53,14 +53,12 @@ class CutVerdict:
     negativity: float
 
 
-def is_ppt(
-    rho: DensityMatrix, cut: Bipartition, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CutVerdict:
+def is_ppt(rho: DensityMatrix, cut: Bipartition, ppt: float = TOL.ppt) -> CutVerdict:
     """PPT test with eigenvalue evidence for one bipartite cut."""
-    if not rho.validated(tol):
-        rho.validate(tol)
-    eigs, one_norm = pt_spectrum(rho, cut, tol)
-    threshold = tol.ppt * max(1.0, one_norm)
+    if not rho.validated():
+        rho.validate()
+    eigs, one_norm = pt_spectrum(rho, cut)
+    threshold = ppt * max(1.0, one_norm)
     min_eig = float(eigs[0])
     negativity = float(-eigs[eigs < 0].sum()) + 0.0
     return CutVerdict(cut, min_eig, min_eig >= -threshold, negativity)
@@ -75,7 +73,7 @@ def _cuts(n: int) -> list[Bipartition]:
     return [Bipartition.of(left, n) for left in lefts]
 
 
-def scan_all_cuts(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> list[CutVerdict]:
+def scan_all_cuts(rho: DensityMatrix, ppt: float = TOL.ppt) -> list[CutVerdict]:
     """One verdict per cut, sorted by (left size, left); the cuts depend on n alone.
 
     Up to n = 8 every unordered cut is scanned, 2**(n-1) - 1 of them, each
@@ -84,7 +82,7 @@ def scan_all_cuts(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     cut of a given side size has the same verdict, and gather_evidence checks
     that invariance separately.
     """
-    return [is_ppt(rho, cut, tol) for cut in _cuts(rho.qubits)]
+    return [is_ppt(rho, cut, ppt) for cut in _cuts(rho.qubits)]
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,7 @@ class SeparabilityCertificate:
     reason: str | None = None
 
 
-def certify_two_vs_rest_separable(
-    rho: DensityMatrix, pair: tuple[int, int], tol: Tolerances = DEFAULT_TOLERANCES
-) -> SeparabilityCertificate:
+def certify_two_vs_rest_separable(rho: DensityMatrix, pair: tuple[int, int]) -> SeparabilityCertificate:
     """Constructive separability witness for the pair-vs-rest cut.
 
     Extracts the Bell-conditional operators on the pair, renormalizes them,
@@ -110,7 +106,7 @@ def certify_two_vs_rest_separable(
     """
     pair = (min(pair), max(pair))
     n, rest = rho.qubits, 2 ** (rho.qubits - 2)
-    outcomes = protocol.bell_measure(rho, pair, tol)
+    outcomes = protocol.bell_measure(rho, pair)
     weights = {o.label: o.probability for o in outcomes}
     factors = {o.label: o.post_state for o in outcomes}
     reason = None
@@ -122,25 +118,23 @@ def certify_two_vs_rest_separable(
     for label, tau in factors.items():
         if tau is None:
             continue
-        lo = float(tau.eigenvalues(tol)[0])
-        if lo < -tol.psd:
+        lo = float(tau.eigenvalues()[0])
+        if lo < -TOL.psd:
             reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
         proj = bell_projector(label)
         t_rows, t_cols, t_vals = tau.entries()
         for i, j in zip(*np.nonzero(proj)):
             parts.append((i * rest + t_rows, j * rest + t_cols, weights[label] * (proj[i, j] * t_vals)))
     parts.append((a * rest + r, b * rest + s, -vals))
-    if abs(sum(weights.values()) - 1.0) > tol.probability:
+    if abs(sum(weights.values()) - 1.0) > TOL.probability:
         reason = reason or f"weights sum to {sum(weights.values())!r}"
     err = norm_of(add_entries(4 * rest, parts)[2])
-    if err > tol.certificate:
+    if err > TOL.certificate:
         reason = reason or f"reconstruction error {err:.3e}"
     return SeparabilityCertificate(pair, weights, factors, err, reason is None, reason)
 
 
-def check_permutation_invariance(
-    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[bool, float]:
+def check_permutation_invariance(rho: DensityMatrix) -> tuple[bool, float]:
     """Max Frobenius deviation over the n - 1 transpositions (1 j), j = 2..n.
 
     They generate S_n, so a state fixed by each of them is fixed by every
@@ -158,7 +152,7 @@ def check_permutation_invariance(
         moved = values_at(rho.dim, (rows, cols, vals), swap_qubits(rows, n, 1, j), swap_qubits(cols, n, 1, j))
         diff = np.concatenate([moved - vals, vals[moved == 0]])
         worst = max(worst, float(np.linalg.norm(diff)))
-    return worst < tol.invariance, worst
+    return worst < TOL.invariance, worst
 
 
 @dataclass(frozen=True)
@@ -172,9 +166,7 @@ class BellDiagonalVerdict:
 _PAIR_CUT = Bipartition.of((1,), 2)
 
 
-def bell_diagonal_entangled(
-    weights: NoisyWeights, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BellDiagonalVerdict:
+def bell_diagonal_entangled(weights: NoisyWeights, ppt: float = TOL.ppt) -> BellDiagonalVerdict:
     """Largest-weight verdict w > 1/2, cross-checked against the PPT test.
 
     The rule and the ("pi", +1) verdict must agree whenever w_max sits clearly
@@ -184,11 +176,11 @@ def bell_diagonal_entangled(
     w = weights.w_max
     rule = w > 0.5
     verdicts = tuple(
-        is_ppt(bell_diagonal(weights, family, sign), _PAIR_CUT, tol)
+        is_ppt(bell_diagonal(weights, family, sign), _PAIR_CUT, ppt)
         for family, sign in (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
     )
     verdict = verdicts[0]
-    if (not verdict.ppt) != rule and abs(w - 0.5) > 10 * tol.ppt:
+    if (not verdict.ppt) != rule and abs(w - 0.5) > 10 * ppt:
         raise AnalyzeError(
             f"w_max rule ({rule}) and PPT test ({not verdict.ppt}) disagree at w={w!r}"
         )
@@ -241,9 +233,7 @@ def _distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return norm_of(add_entries(a.dim, [a.entries(), (b_rows, b_cols, -b_vals)])[2])
 
 
-def check_family(
-    n: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[dict[StateClass, DensityMatrix], list[Check]]:
+def check_family(n: int) -> tuple[dict[StateClass, DensityMatrix], list[Check]]:
     """The four class states built directly, and the checks on them as a family.
 
     Their projectors sum to the identity, they are mutually orthogonal, and
@@ -256,8 +246,8 @@ def check_family(
         _overlap(direct[a], direct[b]) for a, b in itertools.combinations(STATE_CLASSES, 2)
     )
     checks = [
-        Check("completeness", "all", err < tol.equality, {"max_error": err}),
-        Check("mutual-orthogonality", "all", overlap < tol.equality, {"max_error": overlap}),
+        Check("completeness", "all", err < TOL.equality, {"max_error": err}),
+        Check("mutual-orthogonality", "all", overlap < TOL.equality, {"max_error": overlap}),
     ]
     for cls in STATE_CLASSES:
         rec = projector_recursive(cls, n)
@@ -267,7 +257,7 @@ def check_family(
             "direct_vs_pauli": _distance(direct[cls], pau),
             "recursive_vs_pauli": _distance(rec, pau),
         }
-        checks.append(Check("construction-triangle", cls.descriptor, max(d.values()) < tol.equality, d))
+        checks.append(Check("construction-triangle", cls.descriptor, max(d.values()) < TOL.equality, d))
     return direct, checks
 
 
@@ -328,7 +318,7 @@ def certificate_pairs(n: int) -> list[tuple[int, int]]:
     return [(1, 2), (2, n - 1), (n - 1, n)]
 
 
-def gather_evidence(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> StateEvidence:
+def gather_evidence(rho: DensityMatrix, ppt: float = TOL.ppt) -> StateEvidence:
     """Cut scan, permutation invariance and pair certificates, timed per stage.
 
     Raises if a certificate proves a pair cut separable that the scan found NPT.
@@ -339,17 +329,15 @@ def gather_evidence(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) ->
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    verdicts = tuple(scan_all_cuts(rho, tol))
+    verdicts = tuple(scan_all_cuts(rho, ppt))
     timings["cut_scan"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    invariant, deviation = check_permutation_invariance(rho, tol)
+    invariant, deviation = check_permutation_invariance(rho)
     timings["permutation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    certs = tuple(
-        certify_two_vs_rest_separable(rho, pair, tol) for pair in certificate_pairs(n)
-    )
+    certs = tuple(certify_two_vs_rest_separable(rho, pair) for pair in certificate_pairs(n))
     timings["certificates"] = time.perf_counter() - t0
 
     npt_sides = {frozenset(side) for v in verdicts if not v.ppt for side in (v.cut.left, v.cut.right)}
@@ -368,27 +356,23 @@ class AbeReport(StateEvidence):
     activable: bool
 
 
-def classify_abe(
-    rho: DensityMatrix,
-    descriptor: str = "state",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> AbeReport:
+def classify_abe(rho: DensityMatrix, descriptor: str = "state", ppt: float = TOL.ppt) -> AbeReport:
     """Full checklist: the state's evidence, then activation.
 
     activable requires an NPT cut, a PPT verdict plus certificate on every
     pair-vs-rest cut, permutation invariance, and protocol evidence that every
     unlock branch leaves the kept pair entangled.
     """
-    evidence = gather_evidence(rho, tol)
+    evidence = gather_evidence(rho, ppt)
 
     t0 = time.perf_counter()
-    unlock = protocol.unlock_sequential(rho, (1, 2), tol=tol)
+    unlock = protocol.unlock_sequential(rho, (1, 2))
     verdicts: dict[bytes, bool] = {}  # by entries: the paper's states leave four distinct branch states
 
     def entangled(state: DensityMatrix) -> bool:
         key = b"".join(a.tobytes() for a in state.entries())
         if key not in verdicts:
-            verdicts[key] = not is_ppt(state, _PAIR_CUT, tol).ppt
+            verdicts[key] = not is_ppt(state, _PAIR_CUT, ppt).ppt
         return verdicts[key]
 
     all_entangled = all(b.state is not None and entangled(b.state) for b in unlock.branches)

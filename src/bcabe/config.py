@@ -1,10 +1,13 @@
-"""Shared numerical tolerances and size limits.
+"""Shared numerical thresholds and size limits.
 
-The thresholds of the checks live in one frozen record so the test suite,
-the CLI and the library agree on what "equal" and "nonnegative" mean. Four
-fixed margins stay outside it: the rank cut 1e-8 (`cli.cmd_construct`), the
-weight sum 1e-12 (`construct.NoisyWeights`), 1e-10 * scale
-(`linalg._check_hermitian`) and the tie margin 1e-15 (`protocol.bell_fidelity`).
+The thresholds of the checks are one constant record, `TOL`, so the test
+suite, the CLI and the library agree on what "equal" and "nonnegative" mean.
+Only the PPT threshold is ever varied: `--tol-ppt` passes its value to the
+functions that take a `ppt` argument, each of which defaults to `TOL.ppt`.
+Four fixed margins stay outside the record: the rank cut 1e-8
+(`cli.cmd_construct`), the weight sum 1e-12 (`construct.NoisyWeights`),
+1e-10 * scale (`linalg._check_hermitian`) and the tie margin 1e-15
+(`protocol.bell_fidelity`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ MAX_QUBITS_ENV = "BCABE_MAX_N"
 
 
 @dataclass(frozen=True)
-class Tolerances:
+class _Tolerances:
     """Numerical thresholds, grouped by what they gate."""
 
     hermiticity: float = 1e-12      # max |M - M^dag| entry for Hermitian inputs
@@ -37,7 +40,7 @@ class Tolerances:
         return asdict(self)
 
 
-DEFAULT_TOLERANCES = Tolerances()
+TOL = _Tolerances()
 
 
 def max_qubits() -> int:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOL
 
 
 class LinalgError(ValueError):
@@ -129,28 +129,21 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(trace_entries(self.dim, *self.entries()).real)
 
-    def validate(self, tol: Tolerances = DEFAULT_TOLERANCES, psd: bool = False) -> None:
-        """Check Hermiticity and unit trace over the nonzero entries; eigenvalue
-        floor only on request. Non-finite entries are rejected.
-
-        A passed Hermiticity and trace check is remembered, see `validated`.
-        """
+    def validate(self) -> None:
+        """Check Hermiticity and unit trace over the nonzero entries; non-finite
+        entries are rejected. A pass is remembered, see `validated`."""
         rows, cols, vals = self.entries()
         herm_err = _hermitian_deviation(self.dim, rows, cols, vals)
-        if herm_err > tol.hermiticity:
+        if herm_err > TOL.hermiticity:
             raise LinalgError(f"not Hermitian: max deviation {herm_err:.3e}")
         tr_err = abs(vals[rows == cols].sum() - 1.0)
-        if tr_err > tol.trace:
+        if tr_err > TOL.trace:
             raise LinalgError(f"trace differs from 1 by {tr_err:.3e}")
-        object.__setattr__(self, "_validated_under", tol)
-        if psd:
-            lo = self.eigenvalues(tol)[0]
-            if lo < -tol.psd:
-                raise LinalgError(f"negative eigenvalue {lo:.3e}")
+        object.__setattr__(self, "_validated", True)
 
-    def validated(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        """Whether Hermiticity and unit trace already passed under `tol`."""
-        return self.__dict__.get("_validated_under") == tol
+    def validated(self) -> bool:
+        """Whether Hermiticity and unit trace already passed."""
+        return "_validated" in self.__dict__
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the nonzeros, row-major; scanned once, then kept."""
@@ -160,9 +153,9 @@ class DensityMatrix:
                 a.setflags(write=False)
         return self.__dict__["_entries"]
 
-    def eigenvalues(self, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
         """All real eigenvalues, ascending, solved on the entries."""
-        return _jacobi(self.dim, *self.entries(), want_vectors=False, tol=tol)[0]
+        return _jacobi(self.dim, *self.entries(), want_vectors=False)[0]
 
 
 def _dense_zeros(n: int) -> np.ndarray:
@@ -229,9 +222,7 @@ def relabel_entries(rho: DensityMatrix, order: Sequence[int]) -> tuple[np.ndarra
     return rows[at], cols[at], vals[at]
 
 
-def pt_spectrum(
-    rho: DensityMatrix, cut: Bipartition, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, float]:
+def pt_spectrum(rho: DensityMatrix, cut: Bipartition) -> tuple[np.ndarray, float]:
     """Ascending spectrum and max column sum of the cut's partial transpose,
     `transpose_qubits(rho.matrix, n, cut.right)`.
 
@@ -248,7 +239,7 @@ def pt_spectrum(
     order = np.argsort(rows * rho.dim + cols)  # row-major, as a dense scan finds them
     rows, cols, vals = rows[order], cols[order], vals[order]
     one_norm = float(np.bincount(cols, weights=np.abs(vals), minlength=rho.dim).max())
-    eigs, _ = _jacobi(rho.dim, rows, cols, vals, want_vectors=False, tol=tol)
+    eigs, _ = _jacobi(rho.dim, rows, cols, vals, want_vectors=False)
     return eigs, one_norm
 
 
@@ -401,7 +392,7 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: float) -> None:
 
 
 def _jacobi(
-    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, want_vectors: bool, tol: Tolerances
+    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, want_vectors: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenpairs of the dim x dim matrix whose nonzeros are given row-major."""
     _check_hermitian(dim, rows, cols, vals)
@@ -423,7 +414,7 @@ def _jacobi(
         v = np.repeat(np.eye(d, dtype=complex)[:, :, None], k, axis=2) if want_vectors else None
         stacks.append([ix, a, v])
     norm = math.hypot(*(float(np.linalg.norm(a)) for _, a, _ in stacks))
-    target = tol.eigen_offdiag * norm
+    target = TOL.eigen_offdiag * norm
     # anything below `skip` can contribute at most target/100 in total, so
     # skipping it can never leave the stop criterion unmet
     skip = target / (100.0 * dim)
@@ -452,32 +443,22 @@ def _jacobi(
     return eigs, vecs
 
 
-def hermitian_eigenvalues(
-    mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, ascending."""
-    vals, _ = _jacobi(*_entries(mat), want_vectors=False, tol=tol)
+    vals, _ = _jacobi(*_entries(mat), want_vectors=False)
     return vals
 
 
-def hermitian_eigensystem(
-    mat: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    check_residuals: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and matching eigenvector columns.
-
-    With check_residuals, enforces ||M v - lambda v|| <= eigen_residual * ||M||
-    for every pair.
-    """
-    vals, vecs = _jacobi(*_entries(mat), want_vectors=True, tol=tol)
-    if check_residuals:
-        m = np.asarray(mat, dtype=complex)
-        bound = tol.eigen_residual * max(float(np.linalg.norm(m)), 1e-300)
-        resid = m @ vecs - vecs * vals[np.newaxis, :]
-        worst = float(np.linalg.norm(resid, axis=0).max())
-        if worst > bound:
-            raise LinalgError(f"eigenpair residual {worst:.3e} exceeds {bound:.3e}")
+def hermitian_eigensystem(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and matching eigenvector columns, each pair
+    checked: ||M v - lambda v|| <= eigen_residual * ||M||."""
+    vals, vecs = _jacobi(*_entries(mat), want_vectors=True)
+    m = np.asarray(mat, dtype=complex)
+    bound = TOL.eigen_residual * max(float(np.linalg.norm(m)), 1e-300)
+    resid = m @ vecs - vecs * vals[np.newaxis, :]
+    worst = float(np.linalg.norm(resid, axis=0).max())
+    if worst > bound:
+        raise LinalgError(f"eigenpair residual {worst:.3e} exceeds {bound:.3e}")
     return vals, vecs
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BELL_LABELS, BellLabel, bell_vector
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import TOL
 from .construct import STATE_CLASSES, StateClass, projector_direct
 from .linalg import DensityMatrix, add_entries, relabel_entries, split_index, trace_entries, values_at
 
@@ -121,9 +121,7 @@ def _conditional_entries(rho: DensityMatrix, pair: tuple[int, int]) -> dict[Bell
     return dict(zip(BELL_LABELS, _diagonal_blocks(_measure_pair(n, rho.entries(), pair), 4, 2 ** (n - 2))))
 
 
-def bell_measure(
-    rho: DensityMatrix, pair: tuple[int, int], tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[MeasurementOutcome]:
+def bell_measure(rho: DensityMatrix, pair: tuple[int, int]) -> list[MeasurementOutcome]:
     """Projective Bell measurement of one pair, on the state's entries; outcomes in
     canonical label order, each probability with the bits np.trace gives."""
     pair = _normalize_pair(pair, rho.qubits)
@@ -131,7 +129,7 @@ def bell_measure(
     outcomes = []
     for label, (rows, cols, vals) in _conditional_entries(rho, pair).items():
         p = float(trace_entries(2**rest, rows, cols, vals).real)
-        post = DensityMatrix(rest, (rows, cols, vals / p)) if p > tol.zero_probability else None
+        post = DensityMatrix(rest, (rows, cols, vals / p)) if p > TOL.zero_probability else None
         outcomes.append(MeasurementOutcome(label, p, post))
     return outcomes
 
@@ -146,7 +144,6 @@ def unlock_sequential(
     rho: DensityMatrix,
     keep: tuple[int, int],
     pairing: tuple[tuple[int, int], ...] | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> UnlockResult:
     """Bell-measure all non-kept qubits pairwise and enumerate every branch.
 
@@ -179,7 +176,7 @@ def unlock_sequential(
     branches: list[UnlockBranch] = []
     for labels, (rows, cols, vals) in zip(outcomes, _diagonal_blocks(measured, 4 ** len(pairing), 4)):
         p = float(trace_entries(4, rows, cols, vals).real)
-        if p > tol.zero_probability:
+        if p > TOL.zero_probability:
             state = DensityMatrix(2, (rows, cols, vals / p))
             best, fid = bell_fidelity(state)
             branches.append(UnlockBranch(labels, p, state, best, fid))
@@ -200,11 +197,7 @@ def _xor_all(labels: tuple[BellLabel, ...]) -> BellLabel:
     return acc
 
 
-def discriminate_subspace(
-    rho: DensityMatrix,
-    group: tuple[int, ...],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[MeasurementOutcome]:
+def discriminate_subspace(rho: DensityMatrix, group: tuple[int, ...]) -> list[MeasurementOutcome]:
     """Joint four-outcome measurement {class subspaces} on all but one pair.
 
     Outcome k projects the group onto the class-k subspace; the post state is
@@ -237,6 +230,6 @@ def discriminate_subspace(
         ab, _, part = add_entries(2**m, [(4 * a[on] + b[on], g[on], vals[on] * weight[on])])
         op_rows, op_cols, op = add_entries(4, [(ab // 4, ab % 4, part)])
         p = float(trace_entries(4, op_rows, op_cols, op).real)
-        post = DensityMatrix(2, (op_rows, op_cols, op / p)) if p > tol.zero_probability else None
+        post = DensityMatrix(2, (op_rows, op_cols, op / p)) if p > TOL.zero_probability else None
         outcomes.append(MeasurementOutcome(cls, p, post))
     return outcomes

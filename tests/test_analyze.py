@@ -94,7 +94,7 @@ class TestScanAllCuts:
         assert len(scan_all_cuts(rho)) == 7
         assert len(calls) == 1
         is_ppt(rho, Bipartition.of((1,), 4))
-        assert len(calls) == 1  # already validated under the same tolerances
+        assert len(calls) == 1  # a validated state is not checked again
         bad = DensityMatrix(4, 2 * rho.matrix)
         with pytest.raises(LinalgError):
             is_ppt(bad, Bipartition.of((1,), 4))
@@ -151,6 +151,15 @@ class TestSeparabilityCertificate:
             assert (
                 frobenius_distance(cert.factors[label].matrix, inner.matrix) < 1e-10
             )
+
+    def test_negative_conditional_state_not_psd(self):
+        # rho = sum_b [Bell_b]_12 (x) tau_b / 4 with tau_phi+ of unit trace but a
+        # negative eigenvalue: the four terms rebuild rho, yet the floor fails it
+        tau = np.diag([1.5, -0.5, 0.0, 0.0])
+        m = sum(tensor(bell_projector(lb), tau if k == 0 else np.eye(4) / 4) for k, lb in enumerate(BELL_LABELS))
+        cert = certify_two_vs_rest_separable(DensityMatrix(4, m / 4), (1, 2))
+        assert not cert.ok and "not PSD" in cert.reason
+        assert cert.reconstruction_error < 1e-12
 
     def test_six_qubit_arbitrary_pair(self, class_states):
         cert = certify_two_vs_rest_separable(class_states[(RHO_PLUS, 6)], (3, 5))

@@ -167,6 +167,17 @@ class TestNoisyScan:
         at_half = [r for r in data["rows"] if r["w"] == 0.5][0]
         assert at_half["entangled"] is False and at_half["ppt"] is True
 
+    @pytest.mark.parametrize("points", [4, 100])
+    @pytest.mark.parametrize("line", ["two-term", "werner"])
+    def test_even_grid_passes(self, line, points, tmp_path, capsys):
+        # an even grid never lands on w = 1/2, the one separable point of the
+        # two-term line, so its rows may hold one verdict only
+        report = tmp_path / "scan.json"
+        assert run(["noisy-scan", "--line", line, "--points", str(points), "--json", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert all(r["rule_agrees_with_ppt"] for r in data["rows"])
+        assert data["summary"]["all_flips_bracket_half"] is True
+
     def test_werner_single_flip(self, tmp_path, capsys):
         report = tmp_path / "scanw.json"
         run(["noisy-scan", "--line", "werner", "--json", str(report)])
@@ -432,15 +443,21 @@ class TestGoldenBytes:
             "unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "8", "--keep", "1,3", "--pairing", "2,5;4,8;6,7",
         ],
         "verify_n12": ["verify", "--n", "12"],
+        "report_noisy_n6_tol0p1": ["report", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6", "--tol-ppt", "0.1"],
+        "verify_n6_tol0p3": ["verify", "--n", "6", "--tol-ppt", "0.3"],
+        "noisy-scan_werner_n6_tol0p3": [
+            "noisy-scan", "--n", "6", "--line", "werner", "--points", "21", "--tol-ppt", "0.3",
+        ],
     }
     ENV = {"verify_n12": {"BCABE_MAX_N": "12"}}
+    EXIT = {"verify_n6_tol0p3": 1, "noisy-scan_werner_n6_tol0p3": 1}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_output_matches_golden(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         for key, value in self.ENV.get(name, {}).items():
             monkeypatch.setenv(key, value)
-        assert run(self.CASES[name] + ["--json", f"{name}.json"]) == 0
+        assert run(self.CASES[name] + ["--json", f"{name}.json"]) == self.EXIT.get(name, 0)
         outputs = sorted(p.name for p in tmp_path.iterdir())
         assert outputs == sorted(p.name for p in GOLDEN_CLI.glob(f"{name}.*"))
         for out in outputs:

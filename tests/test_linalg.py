@@ -11,7 +11,7 @@ import bcabe
 from bcabe import construct, linalg
 from bcabe.analyze import scan_all_cuts
 from bcabe.basis import PHI_PLUS, bell_projector
-from bcabe.config import DEFAULT_TOLERANCES
+from bcabe.config import TOL
 from bcabe.linalg import (
     Bipartition,
     DensityMatrix,
@@ -236,9 +236,20 @@ class TestEigensolver:
     def test_eigensystem_reconstruction_and_residuals(self):
         rng = np.random.default_rng(18)
         h = random_hermitian(rng, 24)
-        vals, vecs = hermitian_eigensystem(h, check_residuals=True)
+        vals, vecs = hermitian_eigensystem(h)
         recon = (vecs * vals[np.newaxis, :]) @ vecs.conj().T
         assert np.linalg.norm(recon - h) < 1e-9 * np.linalg.norm(h)
+
+    def test_eigensystem_rejects_a_bad_eigenpair(self, monkeypatch):
+        real = linalg._jacobi
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(linalg, "_jacobi", perturbed)
+        with pytest.raises(LinalgError, match="eigenpair residual"):
+            hermitian_eigensystem(random_hermitian(np.random.default_rng(22), 8))
 
     def test_input_not_mutated(self):
         rng = np.random.default_rng(19)
@@ -276,7 +287,7 @@ class TestEigensolverByComponent:
     def test_block_sum_matches_lapack_and_its_blocks(self, seed, sizes):
         m, blocks = permuted_block_sum(np.random.default_rng(seed), sizes)
         vals = hermitian_eigenvalues(m)
-        bound = DEFAULT_TOLERANCES.eigen_offdiag * max(1.0, np.linalg.norm(m))
+        bound = TOL.eigen_offdiag * max(1.0, np.linalg.norm(m))
         assert np.abs(vals - np.linalg.eigvalsh(m)).max() <= bound
         one_at_a_time = np.sort(np.concatenate([hermitian_eigenvalues(b) for b in blocks]))
         assert np.array_equal(vals, one_at_a_time)
@@ -310,7 +321,7 @@ class TestEigensolverByComponent:
     def test_eigensystem_residuals_on_permuted_blocks(self):
         m, _ = permuted_block_sum(np.random.default_rng(21), (1, 2, 2, 3, 4, 4, 1, 5, 6))
         dim = len(m)
-        vals, vecs = hermitian_eigensystem(m, check_residuals=True)
+        vals, vecs = hermitian_eigensystem(m)
         assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-12
         assert np.abs(vals - np.linalg.eigvalsh(m)).max() < 1e-12 * np.linalg.norm(m)
 
@@ -389,11 +400,6 @@ class TestDensityMatrix:
         real = np.eye(2) / 2
         converted = DensityMatrix(1, real).matrix
         assert converted.dtype == complex and real.flags.writeable
-
-    def test_psd_check(self):
-        m = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(LinalgError):
-            DensityMatrix(1, m).validate(psd=True)
 
 
 class TestEntriesState:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcabe.basis import BELL_LABELS, PHI_MINUS, PHI_PLUS, PSI_MINUS, bell_projector
-from bcabe.config import DEFAULT_TOLERANCES
+from bcabe.config import TOL
 from bcabe.construct import (
     NoisyWeights,
     RHO_PLUS,
@@ -91,7 +91,7 @@ class TestBellMeasure:
                     assert abs(o.probability - 0.25) < 1e-12, (cls, pair, o.label)
                     expected = projector_direct(cls ^ o.label, n - 2).matrix
                     err = frobenius_distance(o.post_state.matrix, expected)
-                    assert err < DEFAULT_TOLERANCES.equality, (cls, pair, o.label)
+                    assert err < TOL.equality, (cls, pair, o.label)
 
     def test_probabilities_sum_to_one_random(self):
         rng = np.random.default_rng(31)
