@@ -46,7 +46,7 @@ from .linalg import (
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    pt_spectrum,
+    pt_spectra,
     tensor,
 )
 from .analyze import (

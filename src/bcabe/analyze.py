@@ -30,10 +30,12 @@ from .construct import (
 from .linalg import (
     Bipartition,
     DensityMatrix,
+    PT_BATCH_ENTRIES,
     add_entries,
     hermitian_eigenvalues,  # unused here; perfbench's tracer patches it in this namespace
     norm_of,
-    pt_spectrum,
+    pt_spectra,
+    spectra,
     split_index,
     swap_qubits,
     values_at,
@@ -53,15 +55,22 @@ class CutVerdict:
     negativity: float
 
 
-def is_ppt(rho: DensityMatrix, cut: Bipartition, ppt: float = TOL.ppt) -> CutVerdict:
-    """PPT test with eigenvalue evidence for one bipartite cut."""
+def _cut_verdicts(rho: DensityMatrix, cuts: list[Bipartition], ppt: float) -> list[CutVerdict]:
+    """PPT tests with eigenvalue evidence for the cuts, from one stacked solve."""
     if not rho.validated():
         rho.validate()
-    eigs, one_norm = pt_spectrum(rho, cut)
-    threshold = ppt * max(1.0, one_norm)
-    min_eig = float(eigs[0])
-    negativity = float(-eigs[eigs < 0].sum()) + 0.0
-    return CutVerdict(cut, min_eig, min_eig >= -threshold, negativity)
+    verdicts = []
+    for cut, eigs, one_norm in zip(cuts, *pt_spectra(rho, cuts)):
+        threshold = ppt * max(1.0, float(one_norm))
+        min_eig = float(eigs[0])
+        negativity = float(-eigs[eigs < 0].sum()) + 0.0
+        verdicts.append(CutVerdict(cut, min_eig, min_eig >= -threshold, negativity))
+    return verdicts
+
+
+def is_ppt(rho: DensityMatrix, cut: Bipartition, ppt: float = TOL.ppt) -> CutVerdict:
+    """PPT test with eigenvalue evidence for one bipartite cut."""
+    return _cut_verdicts(rho, [cut], ppt)[0]
 
 
 def _cuts(n: int) -> list[Bipartition]:
@@ -80,9 +89,12 @@ def scan_all_cuts(rho: DensityMatrix, ppt: float = TOL.ppt) -> list[CutVerdict]:
     with qubit 1 on the left. Above n = 8 one representative {1..k} | rest is
     scanned per side size k = 1..n/2: on a permutation-invariant state every
     cut of a given side size has the same verdict, and gather_evidence checks
-    that invariance separately.
+    that invariance separately. Each solve stacks as many cuts as fit
+    PT_BATCH_ENTRIES moved entries.
     """
-    return [is_ppt(rho, cut, ppt) for cut in _cuts(rho.qubits)]
+    cuts = _cuts(rho.qubits)
+    step = max(1, PT_BATCH_ENTRIES // max(1, rho.entries()[0].size))
+    return [v for i in range(0, len(cuts), step) for v in _cut_verdicts(rho, cuts[i : i + step], ppt)]
 
 
 @dataclass(frozen=True)
@@ -115,10 +127,9 @@ def certify_two_vs_rest_separable(rho: DensityMatrix, pair: tuple[int, int]) -> 
     rows, cols, vals = rho.entries()
     (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
     parts = []
-    for label, tau in factors.items():
-        if tau is None:
-            continue
-        lo = float(tau.eigenvalues()[0])
+    solved = {label: tau for label, tau in factors.items() if tau is not None}
+    floors = spectra(rest, [tau.entries() for tau in solved.values()])[:, 0].tolist() if solved else []
+    for (label, tau), lo in zip(solved.items(), floors):
         if lo < -TOL.psd:
             reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
         proj = bell_projector(label)

@@ -80,6 +80,7 @@ class Bipartition:
 
 
 DENSE_BUDGET = 2**30  # bytes of the largest dense matrix a state may be asked for
+PT_BATCH_ENTRIES = 2**12  # moved entries per stacked solve of a cut scan; bounds its scratch memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +134,7 @@ class DensityMatrix:
         """Check Hermiticity and unit trace over the nonzero entries; non-finite
         entries are rejected. A pass is remembered, see `validated`."""
         rows, cols, vals = self.entries()
-        herm_err = _hermitian_deviation(self.dim, rows, cols, vals)
+        herm_err = float(_hermitian_deviation(self.dim, rows, cols, vals).max(initial=0.0))
         if herm_err > TOL.hermiticity:
             raise LinalgError(f"not Hermitian: max deviation {herm_err:.3e}")
         tr_err = abs(vals[rows == cols].sum() - 1.0)
@@ -155,7 +156,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """All real eigenvalues, ascending, solved on the entries."""
-        return _jacobi(self.dim, *self.entries(), want_vectors=False)[0]
+        return spectra(self.dim, [self.entries()])[0]
 
 
 def _dense_zeros(n: int) -> np.ndarray:
@@ -222,25 +223,35 @@ def relabel_entries(rho: DensityMatrix, order: Sequence[int]) -> tuple[np.ndarra
     return rows[at], cols[at], vals[at]
 
 
-def pt_spectrum(rho: DensityMatrix, cut: Bipartition) -> tuple[np.ndarray, float]:
-    """Ascending spectrum and max column sum of the cut's partial transpose,
-    `transpose_qubits(rho.matrix, n, cut.right)`.
+def spectra(dim: int, parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Ascending spectra, one row per dim x dim matrix given as its row-major
+    nonzeros, from one stacked solve; row g has the bits of matrix g solved alone."""
+    shifted = [(r + g * dim, c + g * dim, v) for g, (r, c, v) in enumerate(parts)]
+    rows, cols, vals = (np.concatenate(a) for a in zip(*shifted))
+    return _jacobi(dim, rows, cols, vals, want_vectors=False, count=len(shifted))[0]
+
+
+def pt_spectra(rho: DensityMatrix, cuts: Sequence[Bipartition]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra, one row per cut, and max column sums of the cuts'
+    partial transposes, `transpose_qubits(rho.matrix, n, cut.right)`, from one
+    stacked solve.
 
     Transposing the right group's qubits moves entry (r, c) to (r ^ s, c ^ s)
-    with s = (r ^ c) & mask, so the transpose is the state's own nonzeros,
+    with s = (r ^ c) & mask, so each transpose is the state's own nonzeros,
     moved in O(nnz); no 2**n x 2**n array is formed.
     """
-    n = rho.qubits
-    if cut.qubits != n:
-        raise LinalgError(f"cut over {cut.qubits} qubits applied to a {n}-qubit state")
+    n, dim = rho.qubits, rho.dim
+    for cut in cuts:
+        if cut.qubits != n:
+            raise LinalgError(f"cut over {cut.qubits} qubits applied to a {n}-qubit state")
     rows, cols, vals = rho.entries()
-    s = (rows ^ cols) & sum(1 << (n - q) for q in cut.right)
+    s = (rows ^ cols) & np.array([sum(1 << (n - q) for q in cut.right) for cut in cuts], dtype=np.intp)[:, None]
     rows, cols = rows ^ s, cols ^ s
-    order = np.argsort(rows * rho.dim + cols)  # row-major, as a dense scan finds them
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    one_norm = float(np.bincount(cols, weights=np.abs(vals), minlength=rho.dim).max())
-    eigs, _ = _jacobi(rho.dim, rows, cols, vals, want_vectors=False)
-    return eigs, one_norm
+    order = np.argsort(rows * dim + cols, axis=1)  # each cut row-major, as a dense scan finds them
+    rows, cols, vals = np.take_along_axis(rows, order, axis=1), np.take_along_axis(cols, order, axis=1), vals[order]
+    shift = dim * np.arange(len(cuts))[:, None]
+    one_norms = np.bincount((cols + shift).ravel(), weights=np.abs(vals).ravel(), minlength=len(cuts) * dim)
+    return spectra(dim, zip(rows, cols, vals)), one_norms.reshape(-1, dim).max(axis=1, initial=0.0)
 
 
 def transpose_qubits(mat: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
@@ -295,19 +306,22 @@ def values_at(dim: int, entries: tuple[np.ndarray, ...], rows: np.ndarray, cols:
     return np.where(keys[at] == want, vals[at], 0.0)
 
 
-def _hermitian_deviation(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
-    """max |M - M^dag| over entries given row-major; rejects non-finite entries."""
+def _hermitian_deviation(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """|M - M^dag| at each entry, given row-major; rejects non-finite entries."""
     if not np.isfinite(vals).all():
         raise LinalgError("matrix has a non-finite entry")
-    mirror = values_at(dim, (rows, cols, vals), cols, rows)
-    return float(np.abs(vals - mirror.conj()).max(initial=0.0))
+    return np.abs(vals - values_at(dim, (rows, cols, vals), cols, rows).conj())
 
 
-def _check_hermitian(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Reject non-finite entries and a Hermiticity deviation above 1e-10 relative."""
-    herm_err = _hermitian_deviation(dim, rows, cols, vals)
-    if herm_err > 1e-10 * max(1.0, float(np.abs(vals).max(initial=0.0))):
-        raise LinalgError(f"matrix is not Hermitian: max deviation {herm_err:.3e}")
+def _check_hermitian(dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+    """Reject non-finite entries and, in any of the `count` stacked dim x dim
+    matrices, a Hermiticity deviation above 1e-10 relative to its largest entry."""
+    owner = rows // dim
+    worst, scale = np.zeros(count), np.ones(count)
+    np.maximum.at(worst, owner, _hermitian_deviation(count * dim, rows, cols, vals))
+    np.maximum.at(scale, owner, np.abs(vals))
+    if (worst > 1e-10 * scale).any():
+        raise LinalgError(f"matrix is not Hermitian: max deviation {worst.max():.3e}")
 
 
 def _blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -356,10 +370,10 @@ def _rounds(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, q, mate
 
 
-def _sweep(a: np.ndarray, v: np.ndarray | None, skip: float) -> None:
+def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray) -> None:
     """One sweep over a (d, d, k) stack of blocks, in place; `v` is laid out
-    like `a`. Each round zeroes a[p, q] for all its pairs in every block where
-    |a[p, q]| > skip, and the other blocks rotate by the identity. Each block
+    like `a`. Each round zeroes a[p, q] for all its pairs in every block b where
+    |a[p, q]| > skip[b], and the other blocks rotate by the identity. Each block
     ends exactly Hermitian, with no imaginary rounding left on its diagonal."""
     d, _, k = a.shape
     for p, q, mate in zip(*_rounds(d)):
@@ -391,17 +405,26 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: float) -> None:
     a /= 2.0
 
 
+def _per_matrix(owner: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """Sums of a (.., k) stack over the blocks b of each matrix owner[b], added in
+    C order, so no stack-mate and no BLAS thread count moves a matrix's bits."""
+    return np.bincount(np.broadcast_to(owner, x.shape).ravel(), weights=x.ravel(), minlength=count)
+
+
 def _jacobi(
-    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, want_vectors: bool
+    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, want_vectors: bool, count: int = 1
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenpairs of the dim x dim matrix whose nonzeros are given row-major."""
-    _check_hermitian(dim, rows, cols, vals)
-    # per size d: the (d, k) indices, the Hermitian (d, d, k) blocks and
-    # their (d, d, k) eigenvector blocks
+    """Eigenpairs, (count, dim) ascending values and (count, dim, dim) vector
+    columns, of `count` matrices given row-major as the nonzeros of their direct
+    sum, matrix g on indices g * dim ..; each has its own norm, skip level and
+    stop test and leaves the sweeps once it stops: the bits it gets alone."""
+    _check_hermitian(dim, count, rows, cols, vals)
+    # per size d: the (d, k) indices, the Hermitian (d, d, k) blocks, their
+    # (d, d, k) eigenvector blocks and the matrix each block belongs to
     stacks = []
-    for ix in _blocks(dim, rows, cols):
+    for ix in _blocks(count * dim, rows, cols):
         d, k = ix.shape
-        at = np.full(dim, -1)  # flat (position, block) slot of each index of the stack
+        at = np.full(count * dim, -1)  # flat (position, block) slot of each index of the stack
         at[ix] = np.arange(ix.size).reshape(d, k)
         mine = at[rows] >= 0
         r, c = at[rows[mine]], at[cols[mine]]
@@ -412,47 +435,56 @@ def _jacobi(
         a += a.transpose(1, 0, 2).conj()
         a /= 2.0
         v = np.repeat(np.eye(d, dtype=complex)[:, :, None], k, axis=2) if want_vectors else None
-        stacks.append([ix, a, v])
-    norm = math.hypot(*(float(np.linalg.norm(a)) for _, a, _ in stacks))
+        stacks.append([ix, a, v, ix[0] // dim])
+    norm = np.sqrt(sum(_per_matrix(owner, a.real**2 + a.imag**2, count) for _, a, _, owner in stacks))
     target = TOL.eigen_offdiag * norm
     # anything below `skip` can contribute at most target/100 in total, so
     # skipping it can never leave the stop criterion unmet
     skip = target / (100.0 * dim)
     live = [stack for stack in stacks if len(stack[0]) > 1]  # 1 x 1 blocks are diagonal
+    busy = np.ones(count, dtype=bool)
     for _ in range(_MAX_SWEEPS):
         # every a[p, q] with p < q; a is Hermitian, so its off-diagonal norm is sqrt(2) times theirs
-        upper = [a[_rounds(len(ix))[:2]] for ix, a, _ in live]
-        off = math.sqrt(2.0) * math.hypot(*(float(np.linalg.norm(z)) for z in upper))
-        if off <= target or not any((np.hypot(z.real, z.imag) > skip).any() for z in upper):
+        off, big = np.zeros(count), np.zeros(count)
+        for ix, a, _, owner in live:
+            upper = a[_rounds(len(ix))[:2]]
+            off += _per_matrix(owner, upper.real**2 + upper.imag**2, count)
+            big += _per_matrix(owner, np.hypot(upper.real, upper.imag) > skip[owner], count)
+        busy &= (math.sqrt(2.0) * np.sqrt(off) > target) & (big > 0)
+        if not busy.any():
             break
-        for _, a, v in live:
-            _sweep(a, v, skip)
+        for ix, a, v, owner in live:
+            on = busy[owner]  # the blocks of matrices still sweeping, swept as one stack
+            a_on, v_on = (None if m is None else np.ascontiguousarray(m[:, :, on]) for m in (a, v))
+            _sweep(a_on, v_on, skip[owner[on]])
+            a[:, :, on] = a_on
+            if v is not None:
+                v[:, :, on] = v_on
     else:
         raise LinalgError(f"Jacobi did not converge in {_MAX_SWEEPS} sweeps (dim {dim})")
-    eigs = np.empty(dim)
-    vecs = np.zeros((dim, dim), dtype=complex) if want_vectors else None
-    for ix, a, v in stacks:
+    eigs = np.empty(count * dim)
+    vecs = np.zeros((count * dim, dim), dtype=complex) if want_vectors else None
+    for ix, a, v, _ in stacks:
         diag = np.arange(ix.shape[0])
         eigs[ix] = a[diag, diag].real
         if vecs is not None:
-            vecs[ix[:, None, :], ix[None, :, :]] = v
-    order = np.argsort(eigs, kind="stable")
-    eigs = eigs[order]
+            vecs[ix[:, None, :], ix[None, :, :] % dim] = v
+    order = np.argsort(eigs.reshape(count, dim), axis=1, kind="stable")
+    eigs = np.take_along_axis(eigs.reshape(count, dim), order, axis=1)
     if vecs is not None:
-        vecs = vecs[:, order]
+        vecs = np.take_along_axis(vecs.reshape(count, dim, dim), order[:, None, :], axis=2)
     return eigs, vecs
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, ascending."""
-    vals, _ = _jacobi(*_entries(mat), want_vectors=False)
-    return vals
+    return _jacobi(*_entries(mat), want_vectors=False)[0][0]
 
 
 def hermitian_eigensystem(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching eigenvector columns, each pair
     checked: ||M v - lambda v|| <= eigen_residual * ||M||."""
-    vals, vecs = _jacobi(*_entries(mat), want_vectors=True)
+    (vals,), (vecs,) = _jacobi(*_entries(mat), want_vectors=True)
     m = np.asarray(mat, dtype=complex)
     bound = TOL.eigen_residual * max(float(np.linalg.norm(m)), 1e-300)
     resid = m @ vecs - vecs * vals[np.newaxis, :]
@@ -476,11 +508,15 @@ def format_float(x: float) -> str:
 
 
 def dump_matrix(mat: np.ndarray) -> Iterator[str]:
-    """The dump of a square matrix in chunks: the header line, then one chunk per row."""
+    """The dump of a square matrix in chunks: the header line, then one chunk per row.
+    Only nonzero values are formatted; a zero's line is "i j 0 0"."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
     yield f"dim={m.shape[0]}\n"
+    zeros = [f"{j} 0 0" for j in range(m.shape[0])]
     for i, row in enumerate(m):
-        parts = enumerate(zip(row.real.tolist(), row.imag.tolist()))
-        yield "".join(f"{i} {j} {format_float(re)} {format_float(im)}\n" for j, (re, im) in parts)
+        tails, at = zeros.copy(), np.flatnonzero(row)
+        for j, v in zip(at.tolist(), row[at].tolist()):
+            tails[j] = f"{j} {format_float(v.real)} {format_float(v.imag)}"
+        yield f"{i} " + f"\n{i} ".join(tails) + "\n"

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bcabe
-from bcabe import construct, linalg
+from bcabe import analyze, construct, linalg
 from bcabe.analyze import scan_all_cuts
 from bcabe.basis import PHI_PLUS, bell_projector
 from bcabe.config import TOL
@@ -21,10 +21,11 @@ from bcabe.linalg import (
     SIGMA_Z,
     apply_qubit_permutation,
     dump_matrix,
+    format_float,
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    pt_spectrum,
+    pt_spectra,
     swap_qubits,
     tensor,
     transpose_qubits,
@@ -96,7 +97,7 @@ class TestPartialTranspose:
 
 
 class TestPtSpectrum:
-    """pt_spectrum against the dense oracle: hermitian_eigenvalues of transpose_qubits."""
+    """pt_spectra against the dense oracle: hermitian_eigenvalues of transpose_qubits."""
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -109,13 +110,13 @@ class TestPtSpectrum:
         dim = 2**n
         keep = np.triu(rng.random((dim, dim)) < kept)
         dm = DensityMatrix(n, random_hermitian(rng, dim) * (keep | keep.T))
-        for r in range(1, n):
-            for left in itertools.combinations(range(1, n + 1), r):
-                cut = Bipartition.of(left, n)
-                eigs, one_norm = pt_spectrum(dm, cut)
-                pt = transpose_qubits(dm.matrix, n, cut.right)
-                assert eigs.tobytes() == hermitian_eigenvalues(pt).tobytes(), str(cut)
-                assert one_norm == pytest.approx(np.abs(pt).sum(axis=0).max(), rel=1e-15, abs=0)
+        cuts = [Bipartition.of(left, n) for r in range(1, n) for left in itertools.combinations(range(1, n + 1), r)]
+        spectra, one_norms = pt_spectra(dm, cuts)
+        assert spectra.shape == (len(cuts), dim) and one_norms.shape == (len(cuts),)
+        for cut, eigs, one_norm in zip(cuts, spectra, one_norms):
+            pt = transpose_qubits(dm.matrix, n, cut.right)
+            assert eigs.tobytes() == hermitian_eigenvalues(pt).tobytes(), str(cut)
+            assert one_norm == pytest.approx(np.abs(pt).sum(axis=0).max(), rel=1e-15, abs=0)
 
     def test_entries_scanned_once(self):
         dm = DensityMatrix(2, bell_projector(PHI_PLUS))
@@ -133,9 +134,25 @@ class TestPtSpectrum:
         assert len(verdicts) == 127
         assert all(v.ppt == (len(v.cut.left) % 2 == 0) for v in verdicts)  # odd sides are NPT
 
+    def test_cut_scan_memory_is_bounded(self, monkeypatch):
+        # the scan stacks a slice of cuts per solve; all 127 cuts at once
+        # would peak at about 7 MB
+        rho = construct.noisy_state(construct.NoisyWeights(0.7, 0.1, 0.1, 0.1), 8)
+        peaks = []
+        for batch in (linalg.PT_BATCH_ENTRIES, 2**30):
+            monkeypatch.setattr(analyze, "PT_BATCH_ENTRIES", batch)
+            scan_all_cuts(rho)  # entries, validation and sweep orders are cached
+            tracemalloc.start()
+            try:
+                scan_all_cuts(rho)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2**20 < peaks[1]
+
     def test_invalid_cut_rejected(self):
         with pytest.raises(LinalgError, match="cut over 3 qubits"):
-            pt_spectrum(DensityMatrix(2, bell_projector(PHI_PLUS)), Bipartition.of((1,), 3))
+            pt_spectra(DensityMatrix(2, bell_projector(PHI_PLUS)), [Bipartition.of((1,), 2), Bipartition.of((1,), 3)])
 
 
 class TestPartialTrace:
@@ -250,6 +267,40 @@ class TestEigensolver:
         monkeypatch.setattr(linalg, "_jacobi", perturbed)
         with pytest.raises(LinalgError, match="eigenpair residual"):
             hermitian_eigensystem(random_hermitian(np.random.default_rng(22), 8))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.lists(
+            st.tuples(st.sampled_from(["dense", "sparse", "diagonal"]), st.integers(min_value=-12, max_value=12)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(16, [("dense", 0), ("diagonal", 6), ("sparse", -9)], 0)
+    def test_stacked_matches_solo(self, dim, kinds, seed):
+        # each matrix keeps its own norm and stop rule: a stack of a dense
+        # matrix that needs several sweeps, a diagonal one that needs none and
+        # norms 1e24 apart solves each one to the bits it gets alone
+        rng = np.random.default_rng(seed)
+        mats = []
+        for kind, exponent in kinds:
+            m = random_hermitian(rng, dim) * 10.0**exponent
+            if kind == "sparse":
+                keep = np.triu(rng.random((dim, dim)) < 0.3)
+                m *= keep | keep.T
+            elif kind == "diagonal":
+                m = np.diag(np.diag(m))
+            mats.append(m)
+        parts = [linalg._entries(m)[1:] for m in mats]  # matrix g on indices g * dim ..
+        rows = np.concatenate([r + g * dim for g, (r, _, _) in enumerate(parts)])
+        cols = np.concatenate([c + g * dim for g, (_, c, _) in enumerate(parts)])
+        vals = np.concatenate([v for _, _, v in parts])
+        stacked, _ = linalg._jacobi(dim, rows, cols, vals, want_vectors=False, count=len(mats))
+        assert stacked.shape == (len(mats), dim)
+        for m, eigs in zip(mats, stacked):
+            assert eigs.tobytes() == hermitian_eigenvalues(m).tobytes()
 
     def test_input_not_mutated(self):
         rng = np.random.default_rng(19)
@@ -384,7 +435,7 @@ class TestDensityMatrix:
         m += 1e-3 * np.triu(rng.standard_normal(m.shape), 1) * (m != 0)
         dense = float(np.abs(m - m.conj().T).max())
         assert dense > 1e-4
-        assert linalg._hermitian_deviation(*linalg._entries(m)) == dense
+        assert linalg._hermitian_deviation(*linalg._entries(m)).max() == dense
         with pytest.raises(LinalgError, match=re.escape(f"max deviation {dense:.3e}")):
             DensityMatrix(5, m).validate()
 
@@ -521,6 +572,12 @@ class TestDumpFormat:
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)
         assert read_dump("".join(dump_matrix(m)))[0, 0].real == val
+
+    def test_matches_formatting_every_entry(self):
+        m = random_sparse_hermitian(np.random.default_rng(21), 3, 0.3)
+        m[0, 1], m[2, 2], m[3, 3], m[4, 5] = complex(-0.0, 2.5), complex(1.5, -0.0), complex(-0.0, -0.0), np.nan
+        expect = "".join(f"{i} {j} {format_float(v.real)} {format_float(v.imag)}\n" for (i, j), v in np.ndenumerate(m))
+        assert "".join(dump_matrix(m)) == "dim=8\n" + expect
 
     def test_one_chunk_per_row(self):
         chunks = list(dump_matrix(np.arange(9, dtype=complex).reshape(3, 3)))
