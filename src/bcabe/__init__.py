@@ -64,6 +64,7 @@ from .protocol import (
     MeasurementOutcome,
     UnlockResult,
     bell_fidelity,
+    best_bell,
     bell_measure,
     discriminate_subspace,
     unlock_sequential,

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import analyze, protocol
+from .basis import BELL_LABELS
 from .config import MAX_QUBITS_ENV, TOL, max_qubits
 from .construct import (
     SCAN_LINES,
@@ -284,19 +285,19 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
     keep = cfg.keep or (1, 2)
     group = tuple(q for q in range(1, cfg.n + 1) if q not in keep)
     outcomes = protocol.discriminate_subspace(state, group)
+    live = [o.post_state.matrix for o in outcomes if o.post_state is not None]
+    found = zip(*(a.tolist() for a in protocol.best_bell(np.array(live).reshape(-1, 4, 4))))
     rows = []
     total = 0.0
     for o in outcomes:
         total += o.probability
-        row = {"outcome": o.label.descriptor, "probability": o.probability}
-        if o.post_state is not None:
-            label, fid = protocol.bell_fidelity(o.post_state)
-            row["kept_pair_best_bell"] = label.symbol
-            row["kept_pair_fidelity"] = fid
-        else:
-            row["kept_pair_best_bell"] = None
-            row["kept_pair_fidelity"] = None
-        rows.append(row)
+        best, fid = next(found) if o.post_state is not None else (None, None)
+        rows.append({
+            "outcome": o.label.descriptor,
+            "probability": o.probability,
+            "kept_pair_best_bell": None if best is None else BELL_LABELS[best].symbol,
+            "kept_pair_fidelity": fid,
+        })
     ok = abs(total - 1.0) < TOL.probability
     report = {
         "command": "discriminate",

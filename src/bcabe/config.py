@@ -7,7 +7,7 @@ functions that take a `ppt` argument, each of which defaults to `TOL.ppt`.
 Four fixed margins stay outside the record: the rank cut 1e-8
 (`cli.cmd_construct`), the weight sum 1e-12 (`construct.NoisyWeights`),
 1e-10 * scale (`linalg._check_hermitian`) and the tie margin 1e-15
-(`protocol.bell_fidelity`).
+(`protocol.best_bell`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ state's nonzero entries: a measured pair takes one pass over them for all its
 outcomes (4**(n/2 - 1) unlock branches, 16384 at n = 16), and exactness turns
 the protocol claims into equality tests.  Post-measurement operators are kept
 unnormalized along the way; a branch probability is simply the trace of its
-final operator.
+final operator.  The unlock branches end as one (4**k, 4, 4) stack, and their
+probabilities, normalized states, Bell fidelities and XOR-rule labels are
+computed over the whole stack at once, each with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ class UnlockBranch:
 
 @dataclass(frozen=True)
 class UnlockResult:
+    """Every branch of a sequential unlock, in the order of its measured labels.
+
+    The branches come from one (4**k, 4, 4) stack of the kept pair's
+    unnormalized operators; each live branch's state adopts its normalized
+    4 x 4 slice of that stack, and a dead one (trace at most
+    TOL.zero_probability) has state None."""
+
     keep: tuple[int, int]
     pairing: tuple[tuple[int, int], ...]
     branches: tuple[UnlockBranch, ...]
@@ -57,17 +66,27 @@ class UnlockResult:
         return sum(b.probability for b in self.branches)
 
 
+def best_bell(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best Bell overlap <B|rho|B> of each matrix of a (count, 4, 4) stack, and
+    the index of its label in BELL_LABELS; ties within 1e-15 go to the canonical
+    label order. Each overlap has the bits of v.conj() @ rho @ v on its matrix
+    alone: the stacked matmuls make the same per-matrix BLAS calls (a vector-
+    matrix product, then a 1 x 4 by 4 x 1 one, which numpy computes as a dot)."""
+    best, at = np.full(len(states), -1.0), np.zeros(len(states), dtype=np.intp)
+    for k, label in enumerate(BELL_LABELS):
+        v = bell_vector(label)
+        f = ((v.conj() @ states)[:, None, :] @ v[:, None])[:, 0, 0].real
+        better = f > best + 1e-15
+        best, at = np.where(better, f, best), np.where(better, k, at)
+    return at, best
+
+
 def bell_fidelity(rho2: DensityMatrix) -> tuple[BellLabel, float]:
-    """Best Bell overlap <B|rho|B>; ties go to the canonical label order."""
+    """Best Bell overlap <B|rho|B>; the one-state case of `best_bell`."""
     if rho2.qubits != 2:
         raise ProtocolError(f"expected a 2-qubit state, got {rho2.qubits} qubits")
-    best_label, best = BELL_LABELS[0], -1.0
-    for label in BELL_LABELS:
-        v = bell_vector(label)
-        f = float(np.real(v.conj() @ rho2.matrix @ v))
-        if f > best + 1e-15:
-            best_label, best = label, f
-    return best_label, best
+    (at,), (best,) = best_bell(rho2.matrix[None])
+    return BELL_LABELS[at], float(best)
 
 
 def _normalize_pair(pair, n) -> tuple[int, int]:
@@ -169,32 +188,46 @@ def unlock_sequential(
     # ρ is relabelled once, pairs in measuring order and the kept pair last;
     # level d measures the pair after the 2d qubits that hold the earlier
     # outcomes, so block t of the measured operator is branch t of the tree
-    measured = relabel_entries(rho, [q for pair in pairing + (keep,) for q in pair])
-    for depth in range(len(pairing)):
-        measured = _measure_pair(n, measured, range(1, 2 * depth + 3))
-    outcomes = itertools.product(BELL_LABELS, repeat=len(pairing))
-    branches: list[UnlockBranch] = []
-    for labels, (rows, cols, vals) in zip(outcomes, _diagonal_blocks(measured, 4 ** len(pairing), 4)):
-        p = float(trace_entries(4, rows, cols, vals).real)
-        if p > TOL.zero_probability:
-            state = DensityMatrix(2, (rows, cols, vals / p))
-            best, fid = bell_fidelity(state)
-            branches.append(UnlockBranch(labels, p, state, best, fid))
+    k = len(pairing)
+    rows, cols, vals = relabel_entries(rho, [q for pair in pairing + (keep,) for q in pair])
+    for depth in range(k):
+        rows, cols, vals = _measure_pair(n, (rows, cols, vals), range(1, 2 * depth + 3))
+    blocks = np.zeros((4**k, 4, 4), dtype=complex)
+    blocks[rows // 4, rows % 4, cols % 4] = vals
+    probs, live, states = _normalized(blocks)
+    at, fids = best_bell(states)
+    # a label's index in BELL_LABELS is 2 * parity + phase, so XOR-ing labels is
+    # XOR-ing indices, and branch t's measured labels are t's base-4 digits
+    branch = np.arange(4**k)
+    measured_xor = np.zeros_like(branch)
+    for depth in range(k):
+        measured_xor ^= (branch >> (2 * depth)) & 3
+    implied = at ^ measured_xor[live]
+    xor_rule = implied.size > 0 and bool((implied == implied[0]).all())
+
+    fids = fids.tolist()
+    found = iter(zip(states, at.tolist(), fids))
+    branches = []
+    for labels, p, alive in zip(itertools.product(BELL_LABELS, repeat=k), probs.tolist(), live.tolist()):
+        if alive:
+            state, best, fid = next(found)
+            branches.append(UnlockBranch(labels, p, DensityMatrix(2, state), BELL_LABELS[best], fid))
         else:
             branches.append(UnlockBranch(labels, max(p, 0.0), None, None, None))
-
-    live = [b for b in branches if b.state is not None]
-    min_fid = min((b.fidelity for b in live), default=0.0)
-    implied = {b.best_label ^ _xor_all(b.labels) for b in live}
-    xor_rule = len(implied) == 1
-    return UnlockResult(keep, pairing, tuple(branches), min_fid, xor_rule)
+    return UnlockResult(keep, pairing, tuple(branches), min(fids, default=0.0), xor_rule)
 
 
-def _xor_all(labels: tuple[BellLabel, ...]) -> BellLabel:
-    acc = BellLabel(0, 0)
-    for lb in labels:
-        acc = acc ^ lb
-    return acc
+def _normalized(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The traces of a (count, 4, 4) stack, with the bits np.trace gives each
+    block (its pairwise order, (d0 + d1) + (d2 + d3), not a row sum's), which
+    blocks are live (trace above TOL.zero_probability), and the live blocks
+    divided by their traces."""
+    d = blocks[:, range(4), range(4)].real
+    probs = (d[:, 0] + d[:, 1]) + (d[:, 2] + d[:, 3])
+    live = probs > TOL.zero_probability
+    states = blocks[live]
+    states /= probs[live, None, None]
+    return probs, live, states
 
 
 def discriminate_subspace(rho: DensityMatrix, group: tuple[int, ...]) -> list[MeasurementOutcome]:

@@ -448,8 +448,16 @@ class TestGoldenBytes:
         "noisy-scan_werner_n6_tol0p3": [
             "noisy-scan", "--n", "6", "--line", "werner", "--points", "21", "--tol-ppt", "0.3",
         ],
+        "unlock_noisy_n10": [
+            "unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "10", "--keep", "2,7", "--pairing", "1,4;3,9;5,10;6,8",
+        ],
+        "discriminate_noisy_n10": ["discriminate", "--noisy", "0.553,0.2,0.147,0.1", "--n", "10", "--keep", "2,7"],
     }
-    ENV = {"verify_n12": {"BCABE_MAX_N": "12"}}
+    ENV = {
+        "verify_n12": {"BCABE_MAX_N": "12"},
+        "unlock_noisy_n10": {"BCABE_MAX_N": "10"},
+        "discriminate_noisy_n10": {"BCABE_MAX_N": "10"},
+    }
     EXIT = {"verify_n6_tol0p3": 1, "noisy-scan_werner_n6_tol0p3": 1}
 
     @pytest.mark.parametrize("name", sorted(CASES))

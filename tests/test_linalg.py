@@ -150,6 +150,46 @@ class TestPtSpectrum:
                 tracemalloc.stop()
         assert peaks[0] < 2**20 < peaks[1]
 
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1.0, 0.3]),
+        st.sampled_from([0.0, 1e-13, 1e-3]),
+    )
+    def test_moved_deviations_are_the_sources_permuted(self, n, seed, kept, skew):
+        # why a validated state may skip the stack's check: a transpose moves
+        # an entry and its mirror by the same s, so the deviations move along
+        rng = np.random.default_rng(seed)
+        dim = 2**n
+        keep = np.triu(rng.random((dim, dim)) < kept)
+        m = (random_hermitian(rng, dim) + skew * random_hermitian(rng, dim) * 1j) * (keep | keep.T)
+        dm = DensityMatrix(n, m)
+        source = np.sort(linalg._hermitian_deviation(dim, *dm.entries()))
+        cuts = [Bipartition.of(left, n) for r in range(1, n) for left in itertools.combinations(range(1, n + 1), r)]
+        for cut, rows, cols, vals in zip(cuts, *linalg._pt_entries(dm, cuts)):
+            moved = np.sort(linalg._hermitian_deviation(dim, rows, cols, vals))
+            assert moved.tobytes() == source.tobytes(), str(cut)
+
+    def test_hermiticity_checked_once_per_state(self, monkeypatch):
+        checked = []
+        real_check = linalg._check_hermitian
+        monkeypatch.setattr(linalg, "_check_hermitian", lambda *args: checked.append(args[1]) or real_check(*args))
+        rho = construct.noisy_state(construct.NoisyWeights(0.7, 0.1, 0.1, 0.1), 4)
+        cuts = [Bipartition.of((1,), 4), Bipartition.of((1, 2), 4)]
+        raw = DensityMatrix(4, rho.entries())
+        pt_spectra(raw, cuts)
+        assert checked == [2]  # not validated: the stack is checked
+        raw.validate()
+        pt_spectra(raw, cuts)
+        linalg.spectra(16, [raw.entries()])
+        hermitian_eigenvalues(raw.matrix)
+        assert checked == [2, 1, 1]  # validated: pt_spectra skips it, the raw-input routes do not
+        skewed = np.eye(4) / 4
+        skewed[0, 3] = 1e-6
+        with pytest.raises(LinalgError, match="not Hermitian"):
+            pt_spectra(DensityMatrix(2, skewed), [Bipartition.of((1,), 2)])
+
     def test_invalid_cut_rejected(self):
         with pytest.raises(LinalgError, match="cut over 3 qubits"):
             pt_spectra(DensityMatrix(2, bell_projector(PHI_PLUS)), [Bipartition.of((1,), 2), Bipartition.of((1,), 3)])

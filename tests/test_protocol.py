@@ -1,8 +1,10 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcabe.basis import BELL_LABELS, PHI_MINUS, PHI_PLUS, PSI_MINUS, bell_projector
 from bcabe.config import TOL
@@ -22,13 +24,15 @@ from bcabe.linalg import (
     frobenius_distance,
     hermitian_eigenvalues,
     tensor,
+    trace_entries,
 )
 from bcabe.protocol import (
     ProtocolError,
     _conditional_entries,
-    _xor_all,
+    _normalized,
     bell_fidelity,
     bell_measure,
+    best_bell,
     default_pairing,
     discriminate_subspace,
     unlock_sequential,
@@ -39,6 +43,7 @@ from dense_oracle import (
     conditional_operators,
     discriminate_operators,
     group_qubits,
+    partial_trace,
     unlock_leaves,
 )
 
@@ -61,6 +66,75 @@ class TestBellFidelity:
     def test_wrong_dimension(self):
         with pytest.raises(ProtocolError):
             bell_fidelity(DensityMatrix(3, np.eye(8) / 8))
+
+
+def _branch_per_block(block):
+    """A branch's probability, normalized state, best label index and fidelity
+    the way unlock once found them, one block at a time: trace_entries on the
+    block's nonzeros, then v.conj() @ rho @ v per label, first best kept
+    unless a later one beats it by more than 1e-15."""
+    rows, cols = np.nonzero(block)
+    vals = block[rows, cols]
+    p = float(trace_entries(4, rows, cols, vals).real)
+    if not p > TOL.zero_probability:
+        return p, None, None, None
+    state = DensityMatrix(2, (rows, cols, vals / p)).matrix
+    best_at, best = 0, -1.0
+    for k, label in enumerate(BELL_LABELS):
+        v = bell_vector(label)
+        f = float(np.real(v.conj() @ state @ v))
+        if f > best + 1e-15:
+            best_at, best = k, f
+    return p, state, best_at, best
+
+
+def _branch_block(kind, rng):
+    """A 4 x 4 Hermitian block of one kind, scaled by a power of ten."""
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + h.conj().T) / 2
+    if kind == "psd":
+        h = h @ h
+    elif kind == "zero-trace":
+        h -= np.eye(4) * (np.trace(h).real / 4)
+    elif kind == "negative-trace":
+        h = -(h @ h)
+    elif kind == "tie":  # two Bell weights equal, or 5e-16 apart
+        w = rng.permutation([0.3, 0.3 + rng.choice([0.0, 5e-16, -5e-16]), 0.25, 0.15])
+        h = sum(wk * bell_projector(label) for wk, label in zip(w, BELL_LABELS))
+    elif kind == "mixed":  # I/4: four exact ties
+        h = np.eye(4, dtype=complex) / 4
+    elif kind == "zero":
+        return np.zeros((4, 4), dtype=complex)
+    elif kind == "threshold":  # trace exactly at the dead-branch threshold
+        return np.diag([TOL.zero_probability, 0, 0, 0]).astype(complex)
+    return h * 10.0 ** rng.integers(-12, 13)
+
+
+class TestBranchStack:
+    """unlock's branches as one (count, 4, 4) stack: every probability,
+    normalized state, best label and fidelity has the bits the per-block
+    route gives."""
+
+    KINDS = ["hermitian", "psd", "zero-trace", "negative-trace", "tie", "mixed", "zero", "threshold"]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(KINDS * 2, 0)
+    def test_stacked_branches_match_per_block(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        blocks = np.array([_branch_block(kind, rng) for kind in kinds])
+        probs, live, states = _normalized(blocks)
+        at, fids = best_bell(states)
+        want = [_branch_per_block(block) for block in blocks]
+        assert probs.tobytes() == np.array([p for p, *_ in want]).tobytes()
+        assert live.tolist() == [state is not None for _, state, _, _ in want]
+        alive = [w for w in want if w[1] is not None]
+        assert states.tobytes() == np.array([state for _, state, _, _ in alive]).reshape(-1, 4, 4).tobytes()
+        assert at.tolist() == [best_at for _, _, best_at, _ in alive]
+        assert fids.tobytes() == np.array([best for *_, best in alive]).tobytes()
 
 
 class TestBellMeasure:
@@ -519,7 +593,7 @@ class TestEntriesAgainstDenseOracle:
 
 def _outcomes(result):
     """The multiset of (probability, best label XOR measured labels)."""
-    return sorted((b.probability, (b.best_label ^ _xor_all(b.labels)).symbol) for b in result.branches)
+    return sorted((b.probability, functools.reduce(operator.xor, b.labels, b.best_label).symbol) for b in result.branches)
 
 
 class TestUnlockMetamorphic:
@@ -560,3 +634,18 @@ class TestUnlockMetamorphic:
                 post = swap @ m.state.matrix @ swap if flipped else m.state.matrix
                 assert np.abs(post - b.state.matrix).max() < 1e-13
                 assert m.best_label == b.best_label
+
+    def test_activation_needs_every_party(self):
+        # Bell-measure every pair but one and trace that pair out instead:
+        # in every branch the kept pair is left maximally mixed, so without
+        # the last party's measurement nothing is unlocked
+        n = 6
+        for rho in _paper_states(n):
+            for keep in itertools.combinations(range(1, n + 1), 2):
+                rest = [q for q in range(1, n + 1) if q not in keep]
+                for measured in itertools.combinations(rest, 2):
+                    for o in bell_measure(rho, measured):
+                        left = [q for q in range(1, n + 1) if q not in measured]  # post_state's qubits, in order
+                        kept = partial_trace(o.post_state, [left.index(q) + 1 for q in keep])
+                        assert np.abs(kept.matrix - np.eye(4) / 4).max() < 1e-15, (keep, measured, o.label)
+            assert unlock_sequential(rho, (1, 2)).min_fidelity > 0.35  # with every party, the top weight (0.4 or more)
