@@ -10,6 +10,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json as _json
 import math
 import os
@@ -46,57 +47,68 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Byte-stable JSON: insertion-ordered keys, %.17g floats, no -0.0.
+_quote = _json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a str
+_PLAIN = frozenset((str, int, bool, type(None)))  # rendered as text by str(v)
 
-    A non-finite float raises ValueError: JSON has no nan or inf.
-    """
-    pad = "  " * indent
-    child = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{child}{_json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{child}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return _json.dumps(obj)
-    if isinstance(obj, float):
+
+def render_json(obj, indent: int = 0) -> str:
+    """Byte-stable JSON in one pass: insertion-ordered keys, %.17g floats, no -0.0.
+
+    A non-finite float raises ValueError (JSON has no nan or inf); a value of no JSON type, TypeError."""
+    out: list[str] = []
+    _json_walk(obj, "\n" + "  " * indent, out.append)
+    return "".join(out)
+
+
+def _json_walk(obj, nl: str, put) -> None:
+    t = type(obj)  # the exact types a report holds come first
+    if t is str:
+        put(_quote(obj))
+    elif t is float:
         if not math.isfinite(obj):
             raise ValueError(f"report value {obj!r} is not finite and has no JSON form")
-        return format_float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return _json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        put(format_float(obj))
+    elif t is dict or t is list or t is tuple:
+        inner, (opening, closing) = nl + "  ", "{}" if t is dict else "[]"
+        sep = opening + inner
+        for k, v in obj.items() if t is dict else enumerate(obj):
+            put(f"{sep}{_quote(str(k))}: " if t is dict else sep)
+            _json_walk(v, inner, put)
+            sep = "," + inner
+        put(nl + closing if obj else opening + closing)
+    elif t is int:
+        put(str(obj))
+    elif t is bool or obj is None:
+        put("null" if obj is None else "true" if obj else "false")
+    else:  # a subclass, such as np.float64 or np.int64, renders as its built-in base
+        base = next((b for b in (dict, list, tuple, float, int, np.integer, str) if isinstance(obj, b)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        _json_walk(int(obj) if base is np.integer else base(obj), nl, put)
 
 
-def render_text(obj, indent: int = 0) -> list[str]:
-    """Terminal rendering of the same report object."""
+def render_text(obj, indent: int = 0) -> str:
+    """Terminal rendering of the same report object, one newline-ended line per entry."""
     pad = "  " * indent
-    lines: list[str] = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list, tuple)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar_text(v)}")
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            if isinstance(v, (dict, list, tuple)):
-                lines.append(f"{pad}-")
-                lines.extend(render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(v)}")
-    else:
-        lines.append(f"{pad}{_scalar_text(obj)}")
-    return lines
+    if not isinstance(obj, (dict, list, tuple)):
+        return f"{pad}{_scalar_text(obj)}\n"
+    out: list[str] = []
+    _text_walk(obj, pad, out.append)
+    return "".join(out)
+
+
+def _text_walk(obj, pad: str, put) -> None:
+    is_dict = isinstance(obj, dict)
+    for k, v in obj.items() if is_dict else enumerate(obj):
+        head = f"{pad}{k}:" if is_dict else f"{pad}-"
+        t = type(v)
+        if t in _PLAIN:
+            put(f"{head} {v}\n")
+        elif t is not float and isinstance(v, (dict, list, tuple)) and (v or not is_dict):
+            put(f"{head}\n")  # a list shows an empty container as a bare "-"
+            _text_walk(v, pad + "  ", put)
+        else:
+            put(f"{head} {format_float(v) if t is float else _scalar_text(v)}\n")
 
 
 def _scalar_text(v) -> str:
@@ -178,6 +190,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ppt = args.tol_ppt
     if not (math.isfinite(ppt) and ppt > 0):
         raise ConfigError("--tol-ppt must be finite and positive")
+    if args.json and getattr(args, "dump", None) and os.path.realpath(args.json) == os.path.realpath(args.dump):
+        raise ConfigError(f"--dump and --json name the same file: {args.dump!r}")
     points = getattr(args, "points", 101)
     if not 3 <= points <= MAX_POINTS:
         raise ConfigError(f"--points must be between 3 and {MAX_POINTS}; got {points}")
@@ -412,6 +426,7 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one tree per process: main() only parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcabe",
@@ -471,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         if matrix is not None and cfg.dump_path:
             with open(cfg.dump_path, "w") as fh:
                 fh.writelines(dump_matrix(matrix))
-        text = "\n".join(render_text(report)) + "\n"
+        text = render_text(report)
         if matrix is not None and not cfg.dump_path:
             sys.stdout.writelines(dump_matrix(matrix))
         stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import render_oracle
 from bcabe import cli
 from bcabe.analyze import classify_abe
 from bcabe.cli import main, render_json
@@ -274,6 +279,16 @@ class TestOutputErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("json_name", ["same.txt", "./same.txt", "sub/../same.txt"])
+    def test_construct_dump_and_json_to_one_file_exits_2(self, json_name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = ["construct", "--class", "rho+", "--n", "4", "--dump", "same.txt", "--json", json_name]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --dump and --json name the same file: 'same.txt'\n"
+        assert not (tmp_path / "same.txt").exists()
+
     def test_construct_json_into_missing_directory_writes_no_dump_file(self, tmp_path, capsys):
         dump, path = tmp_path / "m.txt", tmp_path / "missing" / "x.json"
         argv = ["construct", "--class", "rho+", "--n", "4", "--dump", str(dump), "--json", str(path)]
@@ -429,7 +444,9 @@ GOLDEN_CLI = Path(__file__).parent / "goldens" / "cli"
 
 class TestGoldenBytes:
     """CLI output pinned byte for byte; tests/goldens/cli/README.md says where
-    the files come from. Each output file is named after its golden."""
+    the files come from. Each output file is named after its golden, and a
+    `<name>.stdout` or `<name>.stderr` golden pins that stream's text. Stderr
+    is empty where it has no pin."""
 
     CASES = {
         "verify_n6": ["verify", "--n", "6"],
@@ -466,7 +483,152 @@ class TestGoldenBytes:
         for key, value in self.ENV.get(name, {}).items():
             monkeypatch.setenv(key, value)
         assert run(self.CASES[name] + ["--json", f"{name}.json"]) == self.EXIT.get(name, 0)
+        captured = dict(zip(("stdout", "stderr"), capsys.readouterr()))
+        goldens = {p.name: p for p in GOLDEN_CLI.glob(f"{name}.*")}
+        pins = {stream: goldens.pop(f"{name}.{stream}", None) for stream in captured}
         outputs = sorted(p.name for p in tmp_path.iterdir())
-        assert outputs == sorted(p.name for p in GOLDEN_CLI.glob(f"{name}.*"))
+        assert outputs == sorted(goldens)
         for out in outputs:
             assert (tmp_path / out).read_bytes() == (GOLDEN_CLI / out).read_bytes(), out
+        for stream, pin in pins.items():
+            if pin is not None or stream == "stderr":
+                assert captured[stream].encode() == (pin.read_bytes() if pin else b""), stream
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    FINITE,
+    FINITE.map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.float64(-0.0)]),
+    st.integers(),
+    st.integers(min_value=10**30, max_value=10**300),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\U0001f600", 'q"\\/', "\ud800"]),
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(), st.none()), kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+REFUSED = [float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.bool_(True), {1, 2}, 1 + 2j, 10**5000]
+
+
+def _outcome(render, obj, indent):
+    """The rendered bytes, or the type of the exception the renderer raised."""
+    try:
+        return render(obj, indent)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _oracle_text(obj, indent):
+    return "".join(line + "\n" for line in render_oracle.render_text(obj, indent))
+
+
+class TestRenderOracle:
+    """The one-pass walkers give the bytes of the recursive renderers they
+    replaced (tests/render_oracle.py), and refuse what those refuse."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(tree=TREES, indent=st.integers(0, 3))
+    @example(tree={"a": [], "b": {}, "c": [[], {}, ()], "d": (1, "x")}, indent=0)
+    @example(tree=[], indent=0)
+    def test_same_bytes_on_drawn_objects(self, tree, indent):
+        assert _outcome(cli.render_json, tree, indent) == _outcome(render_oracle.render_json, tree, indent)
+        assert _outcome(cli.render_text, tree, indent) == _outcome(_oracle_text, tree, indent)
+
+    @settings(deadline=None, max_examples=100)
+    @given(tree=TREES, bad=st.sampled_from(REFUSED), where=st.integers(0, 2))
+    def test_same_refusals(self, tree, bad, where):
+        obj = [{"ok": tree, "bad": bad}, [tree, (bad,)], bad][where]
+        new, old = _outcome(cli.render_json, obj, 0), _outcome(render_oracle.render_json, obj, 0)
+        assert new == old and old in (TypeError, ValueError)
+        assert _outcome(cli.render_text, obj, 0) == _outcome(_oracle_text, obj, 0)
+
+
+# the documented grammar, with n capped at 6 so that every drawn call is quick
+ARGV_VALUES = {
+    "--class": ["rho+", "rho-", "sigma+", "sigma-", "tau"],
+    "--noisy": ["0.553,0.2,0.147,0.1", "0.25,0.25,0.25,0.25", "1,0,0,0", "1e-320,1,0,0", "0.9,0.2,0,0", "nan,0.5,0.25,0.25"],
+    "--n": ["4", "6", "-2", "0", "3", "x"],
+    "--keep": ["1,2", "2,3", "3,6", "1,1", "0,5", "1", "a,b"],
+    "--pairing": ["3,4", "3,4;5,6", "1,3;2,4", "3,5;4,6", ";", "x"],
+    "--points": ["3", "4", "0", "x"],
+    "--tol-ppt": ["1e-10", "0.1", "0.3", "-1", "nan", "1e308"],
+    "--timings": [None],
+}
+
+
+def _flag(name):
+    return st.sampled_from(ARGV_VALUES[name]).map(lambda v: [name] if v is None else [name, v])
+
+
+OWN_FLAGS = {"unlock": ["--keep", "--pairing"], "discriminate": ["--keep"], "noisy-scan": ["--points"]}
+
+
+def _argv(command):
+    """Argv for one command, mostly of its own flags, so that most calls get past argparse."""
+    state = [_flag("--class"), _flag("--noisy")] if command in ("construct", "unlock", "discriminate", "report") else []
+    return st.builds(
+        lambda state, n, rest: [command, *state, *n, *(word for flag in rest for word in flag)],
+        st.one_of(*state, st.just([])),
+        st.one_of(st.sampled_from([["--n", "4"], ["--n", "6"]]), _flag("--n"), st.just([])),
+        st.lists(
+            # --pairing is foreign to every command but unlock
+            st.sampled_from(sorted({*OWN_FLAGS.get(command, []), "--pairing", "--tol-ppt", "--timings"})).flatmap(_flag),
+            unique_by=lambda flag: flag[0],
+            max_size=3,
+        ),
+    )
+
+
+ARGV = st.sampled_from(sorted(cli.COMMANDS)).flatmap(_argv)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _call(argv, json_path):
+    """(exit code, stdout, stderr, JSON bytes) of one in-process run."""
+    json_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--json", str(json_path)])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), json_path.read_bytes() if json_path.exists() else None
+
+
+class TestArgvFuzz:
+    """Many main() calls in one process share the cached parser: each drawn
+    call ends cleanly, and what ran before it does not change its bytes."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(argv=ARGV)
+    @example(argv=["report", "--class", "rho+", "--n", "4", "--timings"])
+    @example(argv=["unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6", "--keep", "3,6", "--pairing", "1,2;4,5"])
+    def test_drawn_argv_ends_cleanly_and_repeats(self, argv):
+        assert cli.build_parser() is cli.build_parser()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            first = _call(argv, path)
+            code, _, err, payload = first
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if payload is not None:
+                json.loads(payload, parse_constant=_reject_constant)
+            if "--timings" in argv:
+                return
+            _call([*argv, "--timings"], path)
+            assert _call(argv, path) == first
+            assert _call([argv[0], "--frobnicate"], path)[0] == 2
+            assert _call(argv, path) == first
