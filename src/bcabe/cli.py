@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json as _json
 import math
 import os
@@ -31,6 +32,8 @@ from .construct import (
     projector_direct,
 )
 from .linalg import DensityMatrix, dump_matrix, format_float
+
+gc.freeze()  # the modules above live as long as the process: full collections skip them
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -262,19 +265,16 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
     keep = cfg.keep or (1, 2)
     result = protocol.unlock_sequential(state, keep, cfg.pairing)
-    branches = []
-    for b in result.branches:
-        branches.append(
-            {
-                "labels": [lb.symbol for lb in b.labels],
-                "probability": b.probability,
-                "fidelity": b.fidelity,
-                "best_label": b.best_label.symbol if b.best_label else None,
-            }
-        )
-    ok = True
-    if cfg.state_class is not None:
-        ok = result.min_fidelity >= 1 - TOL.fidelity
+    branches = [
+        {
+            "labels": [lb.symbol for lb in b.labels],
+            "probability": b.probability,
+            "fidelity": b.fidelity,
+            "best_label": b.best_label.symbol if b.best_label else None,
+        }
+        for b in result.branches
+    ]
+    ok = cfg.state_class is None or result.min_fidelity >= 1 - TOL.fidelity
     report = {
         "command": "unlock",
         "state": cfg.descriptor,
