@@ -18,10 +18,6 @@ from .basis import (
     PSI_PLUS,
     bell_projector,
     bell_vector,
-    complement,
-    enumerate_p_strings,
-    enumerate_q_strings,
-    ghz_state,
 )
 from .config import max_qubits
 from .construct import (

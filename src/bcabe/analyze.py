@@ -32,7 +32,9 @@ from .linalg import (
     DensityMatrix,
     PT_BATCH_ENTRIES,
     add_entries,
-    hermitian_eigenvalues,  # unused here; perfbench's tracer patches it in this namespace
+    # unused here; perfbench's tracer patches it in this namespace, and
+    # perfbench/tests/test_perfbench.py::test_untraced_runs_leave_bcabe_unpatched asserts it
+    hermitian_eigenvalues,
     norm_of,
     pt_spectra,
     spectra,

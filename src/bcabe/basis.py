@@ -1,14 +1,13 @@
-"""Parity-classified bit strings and the GHZ/cat and Bell bases.
+"""Bell labels in Z2 x Z2 and the two-qubit Bell vectors and projectors.
 
-Bit strings are ASCII '0'/'1' text with the first character belonging to
-qubit 1, the most significant bit of the basis index.  A GHZ state is a
-dense vector with two nonzero amplitudes; a Bell vector is the two-qubit
-case, placed by its (parity, phase) label alone.
+A Bell vector is placed by its (parity, phase) label alone: basis index p
+(qubit 1 is the most significant bit) paired with its complement 3 - p.
+The paper's bit-string definition of the class subspaces, and the GHZ/cat
+vectors built from it, live with the tests as their reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,32 +18,6 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 class BasisError(ValueError):
     pass
-
-
-def complement(bits: str) -> str:
-    """Bitwise NOT, so <complement(x)|x> = 0 holds by construction."""
-    return "".join("1" if b == "0" else "0" for b in bits)
-
-
-def _family_strings(n: int, zeros_parity: int) -> list[str]:
-    if n < 2 or n % 2:
-        raise BasisError(f"qubit count must be even and >= 2, got {n}")
-    out = []
-    for tail in itertools.product("01", repeat=n - 1):
-        s = "0" + "".join(tail)
-        if s.count("0") % 2 == zeros_parity:
-            out.append(s)
-    return out  # lexicographic by construction
-
-
-def enumerate_p_strings(n: int) -> list[str]:
-    """Strings with leading 0 and an even number of 0s; 2**(n-2) of them."""
-    return _family_strings(n, 0)
-
-
-def enumerate_q_strings(n: int) -> list[str]:
-    """Strings with leading 0 and an odd number of 0s; 2**(n-2) of them."""
-    return _family_strings(n, 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -74,18 +47,6 @@ PHI_MINUS = BellLabel(0, 1)
 PSI_PLUS = BellLabel(1, 0)
 PSI_MINUS = BellLabel(1, 1)
 BELL_LABELS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)  # canonical order
-
-
-def ghz_state(bits: str, sign: int) -> np.ndarray:
-    """(|x> + sign |~x>)/sqrt(2) for a bit string x, as a dense vector."""
-    if sign not in (+1, -1):
-        raise BasisError(f"sign must be +1 or -1, got {sign}")
-    if set(bits) - {"0", "1"}:
-        raise BasisError(f"not a bit string: {bits!r}")
-    v = np.zeros(2 ** len(bits), dtype=complex)
-    v[int(bits, 2)] = SQRT_HALF
-    v[int(complement(bits), 2)] = sign * SQRT_HALF
-    return v
 
 
 def bell_vector(label: BellLabel) -> np.ndarray:

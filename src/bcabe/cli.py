@@ -39,6 +39,7 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_POINTS = 10001  # noisy-scan grid: w in steps of 1e-4
 DUMP_MATRIX = "dump_matrix"  # report key carrying construct's matrix to main
+TIMINGS = "timings"  # report key carrying a command's stage times to main
 
 
 class ConfigError(ValueError):
@@ -130,30 +131,21 @@ def _scalar_text(v) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    state_class: StateClass | None = None
-    weights: NoisyWeights | None = None
-    n: int = 4
-    keep: tuple[int, int] | None = None
-    pairing: tuple[tuple[int, int], ...] | None = None
-    ppt: float = TOL.ppt
-    json_path: str | None = None
-    dump_path: str | None = None
-    line: str = "two-term"
-    points: int = 101
-    include_timings: bool = False
+    state_class: StateClass | None
+    weights: NoisyWeights | None
+    n: int
+    keep: tuple[int, int] | None
+    pairing: tuple[tuple[int, int], ...] | None
+    ppt: float
+    json_path: str | None
+    dump_path: str | None
+    line: str | None  # noisy-scan only
+    points: int | None  # noisy-scan only
+    include_timings: bool
 
     @property
-    def descriptor(self) -> str:
-        if self.state_class is not None:
-            return f"{self.state_class.descriptor} n={self.n}"
-        if self.weights is not None:
-            return f"{self.weights.descriptor} n={self.n}"
-        return f"n={self.n}"
-
-    @property
-    def tolerances(self) -> dict[str, float]:
-        """The thresholds as every report lists them, with the PPT value in use."""
-        return {**TOL.as_dict(), "ppt": self.ppt}
+    def descriptor(self) -> str:  # read only once state() has found a state
+        return f"{(self.state_class or self.weights).descriptor} n={self.n}"
 
     def state(self) -> DensityMatrix:
         if self.state_class is not None:
@@ -174,43 +166,51 @@ def _parse_pairing(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(_parse_pair(chunk) for chunk in text.split(";") if chunk.strip())
 
 
+def _same_file(a: str, b: str) -> bool:
+    """One path, or two existing names (hard links included) of one file."""
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet names no other file
+        return False
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # every subcommand defines --n, --json, --timings and --tol-ppt; only some define the rest
     state_class = StateClass.parse(args.state_class) if getattr(args, "state_class", None) else None
     weights = NoisyWeights.parse(args.noisy) if getattr(args, "noisy", None) else None
     if state_class is not None and weights is not None:
         raise ConfigError("--class and --noisy are mutually exclusive")
-    n = getattr(args, "n", None)
-    if n is not None:
-        ceiling = max_qubits()
-        if n % 2 or not 4 <= n <= ceiling:
-            raise ConfigError(
-                f"--n must be even with 4 <= n <= {ceiling} "
-                f"(set {MAX_QUBITS_ENV} to raise the ceiling); got {n}"
-            )
+    n, ceiling = args.n, max_qubits()
+    if n % 2 or not 4 <= n <= ceiling:
+        raise ConfigError(
+            f"--n must be even with 4 <= n <= {ceiling} "
+            f"(set {MAX_QUBITS_ENV} to raise the ceiling); got {n}"
+        )
     keep = _parse_pair(args.keep) if getattr(args, "keep", None) else None
     if keep is not None and (keep[0] == keep[1] or not set(keep) <= set(range(1, n + 1))):
         raise ConfigError(f"--keep must be two distinct qubits of 1..{n}; got {args.keep!r}")
     ppt = args.tol_ppt
     if not (math.isfinite(ppt) and ppt > 0):
         raise ConfigError("--tol-ppt must be finite and positive")
-    if args.json and getattr(args, "dump", None) and os.path.realpath(args.json) == os.path.realpath(args.dump):
-        raise ConfigError(f"--dump and --json name the same file: {args.dump!r}")
-    points = getattr(args, "points", 101)
-    if not 3 <= points <= MAX_POINTS:
+    dump = getattr(args, "dump", None)
+    if args.json and dump and _same_file(args.json, dump):
+        raise ConfigError(f"--dump and --json name the same file: {dump!r}")
+    points = getattr(args, "points", None)
+    if points is not None and not 3 <= points <= MAX_POINTS:
         raise ConfigError(f"--points must be between 3 and {MAX_POINTS}; got {points}")
     return RunConfig(
         command=args.command,
         state_class=state_class,
         weights=weights,
-        n=n if n is not None else 4,
+        n=n,
         keep=keep,
         pairing=_parse_pairing(args.pairing) if getattr(args, "pairing", None) else None,
         ppt=ppt,
-        json_path=getattr(args, "json", None),
-        dump_path=getattr(args, "dump", None),
-        line=getattr(args, "line", "two-term"),
+        json_path=args.json,
+        dump_path=dump,
+        line=getattr(args, "line", None),
         points=points,
-        include_timings=getattr(args, "timings", False),
+        include_timings=args.timings,
     )
 
 
@@ -226,7 +226,6 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     eigs = state.eigenvalues()
     rank = int((eigs > 1e-8).sum())
     report = {
-        "command": "construct",
         "state": cfg.descriptor,
         "qubits": cfg.n,
         "dim": state.dim,
@@ -235,7 +234,6 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
         "max_eigenvalue": float(eigs[-1]),
         "dump": cfg.dump_path or "stdout",
         "checks": ["trace-normalization", "rank"],
-        "tolerances": cfg.tolerances,
         # dumped by main once the JSON report is out, then dropped from it
         DUMP_MATRIX: matrix,
     }
@@ -249,22 +247,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     checks += [c for lines in zip(*per_state) for c in lines]
     failed = [c for c in checks if not c.passed]
     report = {
-        "command": "verify",
         "qubits": cfg.n,
         "passed": not failed,
         "failed_checks": [f"{c.name}[{c.state}]" for c in failed],
         "checks": [
             {"check": c.name, "state": c.state, "passed": c.passed, **c.detail} for c in checks
         ],
-        "tolerances": cfg.tolerances,
     }
     return report, not failed
 
 
 def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
-    keep = cfg.keep or (1, 2)
-    result = protocol.unlock_sequential(state, keep, cfg.pairing)
+    result = protocol.unlock_sequential(state, cfg.keep, cfg.pairing)
     branches = [
         {
             "labels": [lb.symbol for lb in b.labels],
@@ -276,7 +271,6 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
     ]
     ok = cfg.state_class is None or result.min_fidelity >= 1 - TOL.fidelity
     report = {
-        "command": "unlock",
         "state": cfg.descriptor,
         "keep": list(result.keep),
         "pairing": [list(p) for p in result.pairing],
@@ -289,15 +283,13 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
             "xor_rule_holds": result.xor_rule_holds,
         },
         "checks": ["branch-enumeration", "bell-fidelity", "xor-label-rule"],
-        "tolerances": cfg.tolerances,
     }
     return report, ok
 
 
 def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
     state = cfg.state()
-    keep = cfg.keep or (1, 2)
-    group = tuple(q for q in range(1, cfg.n + 1) if q not in keep)
+    group = tuple(q for q in range(1, cfg.n + 1) if q not in cfg.keep)
     outcomes = protocol.discriminate_subspace(state, group)
     live = [o.post_state.matrix for o in outcomes if o.post_state is not None]
     found = zip(*(a.tolist() for a in protocol.best_bell(np.array(live).reshape(-1, 4, 4))))
@@ -314,14 +306,12 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
         })
     ok = abs(total - 1.0) < TOL.probability
     report = {
-        "command": "discriminate",
         "state": cfg.descriptor,
-        "keep": list(keep),
+        "keep": list(cfg.keep),
         "group": list(group),
         "outcomes": rows,
         "total_probability": total,
         "checks": ["subspace-discrimination", "bell-fidelity"],
-        "tolerances": cfg.tolerances,
     }
     return report, ok
 
@@ -355,7 +345,6 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
     flips_at_half = all(a <= 0.5 <= b for a, b in flips)
     ok = agree_everywhere and flips_at_half
     report = {
-        "command": "noisy-scan",
         "qubits": cfg.n,
         "line": cfg.line,
         "points": cfg.points,
@@ -366,7 +355,6 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
             "rule_agrees_with_ppt_everywhere": agree_everywhere,
         },
         "checks": ["largest-weight-rule", "ppt-cross-check", "unlock-fidelity"],
-        "tolerances": cfg.tolerances,
     }
     return report, ok
 
@@ -386,14 +374,13 @@ def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
     certs = [
         {
             "pair": list(c.pair),
-            "weights": {lb.symbol: c.weights[lb] for lb in sorted(c.weights, key=lambda b: (b.parity, b.phase))},
+            "weights": {lb.symbol: w for lb, w in c.weights.items()},  # in BELL_LABELS order
             "reconstruction_error": c.reconstruction_error,
             "ok": c.ok,
         }
         for c in rep.certificates
     ]
     report = {
-        "command": "report",
         "state": rep.descriptor,
         "qubits": rep.qubits,
         "cuts": cuts,
@@ -404,10 +391,8 @@ def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
         "activation": asdict(rep.activation),
         "activable": rep.activable,
         "checks": ["cut-scan", "permutation-invariance", "two-vs-rest-certificates", "activation-protocol"],
-        "tolerances": cfg.tolerances,
+        TIMINGS: rep.timings,  # the stage split main reports under --timings
     }
-    if cfg.include_timings:
-        report["timings"] = rep.timings
     return report, True
 
 
@@ -451,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("unlock", parents=[state_args], help="sequential pairwise Bell measurements")
-    p.add_argument("--keep", metavar="i,j", help="pair left untouched (default 1,2)")
+    p.add_argument("--keep", metavar="i,j", default="1,2", help="pair left untouched (default 1,2)")
     p.add_argument("--pairing", metavar="i,j;k,l", help="explicit measured pairing")
 
     p = sub.add_parser("discriminate", parents=[state_args],
                        help="joint subspace discrimination by the grouped qubits")
-    p.add_argument("--keep", metavar="i,j", help="pair left out of the group (default 1,2)")
+    p.add_argument("--keep", metavar="i,j", default="1,2", help="pair left out of the group (default 1,2)")
 
     p = sub.add_parser("noisy-scan", parents=[report_args],
                        help="sweep mixture weights and locate the w>1/2 transition")
@@ -475,10 +460,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         t0 = time.perf_counter()
-        report, ok = COMMANDS[cfg.command](cfg)
-        matrix = report.pop(DUMP_MATRIX, None)
-        if cfg.include_timings and "timings" not in report:
-            report["timings"] = {"total": time.perf_counter() - t0}
+        body, ok = COMMANDS[cfg.command](cfg)
+        timings = body.pop(TIMINGS, None) or {"total": time.perf_counter() - t0}
+        matrix = body.pop(DUMP_MATRIX, None)
+        # every report opens with its command and closes with the thresholds in use
+        report = {"command": cfg.command, **body, "tolerances": {**TOL.as_dict(), "ppt": cfg.ppt}}
+        if cfg.include_timings:
+            report[TIMINGS] = timings
         payload = render_json(report) + "\n"
         if cfg.json_path:
             with open(cfg.json_path, "w") as fh:

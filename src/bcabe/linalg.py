@@ -21,7 +21,6 @@ class LinalgError(ValueError):
     """Raised on contract violations (bad cut, non-Hermitian input, ...)."""
 
 
-I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

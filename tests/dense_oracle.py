@@ -3,6 +3,12 @@
 Each function here forms the 2**n x 2**n array (or its grouped layout) that
 the package no longer needs, and computes the old dense way what the package
 now computes from a state's nonzero entries. Tests compare the two.
+
+The paper's own definition of the class subspaces lives here too: bit
+strings with a leading 0 and an even (P) or odd (Q) number of 0s, each
+paired with its complement in a GHZ/cat vector. The package builds the
+states by the index rule (i pairs with ~i) instead, and is checked against
+these strings.
 """
 
 from __future__ import annotations
@@ -12,9 +18,47 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bcabe.basis import BELL_LABELS, BellLabel, bell_vector
+from bcabe.basis import BELL_LABELS, SQRT_HALF, BasisError, BellLabel, bell_vector
 from bcabe.construct import STATE_CLASSES, StateClass, projector_direct
 from bcabe.linalg import DensityMatrix, LinalgError, _dense_zeros, split_index
+
+
+def complement(bits: str) -> str:
+    """Bitwise NOT, so <complement(x)|x> = 0 holds by construction."""
+    return "".join("1" if b == "0" else "0" for b in bits)
+
+
+def _family_strings(n: int, zeros_parity: int) -> list[str]:
+    if n < 2 or n % 2:
+        raise BasisError(f"qubit count must be even and >= 2, got {n}")
+    out = []
+    for tail in itertools.product("01", repeat=n - 1):
+        s = "0" + "".join(tail)
+        if s.count("0") % 2 == zeros_parity:
+            out.append(s)
+    return out  # lexicographic by construction
+
+
+def enumerate_p_strings(n: int) -> list[str]:
+    """Strings with leading 0 and an even number of 0s; 2**(n-2) of them."""
+    return _family_strings(n, 0)
+
+
+def enumerate_q_strings(n: int) -> list[str]:
+    """Strings with leading 0 and an odd number of 0s; 2**(n-2) of them."""
+    return _family_strings(n, 1)
+
+
+def ghz_state(bits: str, sign: int) -> np.ndarray:
+    """(|x> + sign |~x>)/sqrt(2) for a bit string x, as a dense vector."""
+    if sign not in (+1, -1):
+        raise BasisError(f"sign must be +1 or -1, got {sign}")
+    if set(bits) - {"0", "1"}:
+        raise BasisError(f"not a bit string: {bits!r}")
+    v = np.zeros(2 ** len(bits), dtype=complex)
+    v[int(bits, 2)] = SQRT_HALF
+    v[int(complement(bits), 2)] = sign * SQRT_HALF
+    return v
 
 
 def group_qubits(mat: np.ndarray, n: int, front: Sequence[int]) -> np.ndarray:

@@ -14,11 +14,8 @@ from bcabe.basis import (
     PSI_PLUS,
     bell_projector,
     bell_vector,
-    complement,
-    enumerate_p_strings,
-    enumerate_q_strings,
-    ghz_state,
 )
+from dense_oracle import complement, enumerate_p_strings, enumerate_q_strings, ghz_state
 
 
 class TestStringEnumeration:

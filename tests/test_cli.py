@@ -228,8 +228,13 @@ class TestTimings:
         plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
         run(self.ARGV[command] + ["--json", str(plain)])
         run(self.ARGV[command] + ["--timings", "--json", str(timed)])
-        assert "timings" not in json.loads(plain.read_text())
-        timings = json.loads(timed.read_text())["timings"]
+        plain_report, timed_report = json.loads(plain.read_text()), json.loads(timed.read_text())
+        # main writes the envelope: the command first, the thresholds last, the times after them
+        keys = list(plain_report)
+        assert keys[0] == "command" and plain_report["command"] == command and keys[-1] == "tolerances"
+        assert list(timed_report)[-2:] == ["tolerances", "timings"]
+        assert "timings" not in plain_report
+        timings = timed_report["timings"]
         assert timings and all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
@@ -296,6 +301,16 @@ class TestOutputErrors:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --dump and --json name the same file: 'same.txt'\n"
         assert not (tmp_path / "same.txt").exists()
+
+    def test_construct_dump_and_json_as_hard_links_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.txt").write_text("kept\n")
+        os.link(tmp_path / "a.txt", tmp_path / "b.txt")
+        argv = ["construct", "--class", "rho+", "--n", "4", "--dump", "a.txt", "--json", "b.txt"]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --dump and --json name the same file: 'a.txt'\n"
+        assert (tmp_path / "a.txt").read_text() == "kept\n"
 
     def test_construct_json_into_missing_directory_writes_no_dump_file(self, tmp_path, capsys):
         dump, path = tmp_path / "m.txt", tmp_path / "missing" / "x.json"

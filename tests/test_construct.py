@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from bcabe.basis import (
-    BELL_LABELS,
-    BellLabel,
-    bell_projector,
-    enumerate_p_strings,
-    enumerate_q_strings,
-    ghz_state,
-)
+from bcabe.basis import BELL_LABELS, BellLabel, bell_projector
 from bcabe.construct import (
     ConstructError,
     NoisyWeights,
@@ -26,7 +19,7 @@ from bcabe.construct import (
 )
 from bcabe import construct, linalg
 from bcabe.linalg import PAULIS, DensityMatrix, frobenius_distance, tensor
-from dense_oracle import group_qubits, partial_trace
+from dense_oracle import enumerate_p_strings, enumerate_q_strings, ghz_state, group_qubits, partial_trace
 
 
 class TestStateClass:

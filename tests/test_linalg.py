@@ -15,7 +15,6 @@ from bcabe.config import TOL
 from bcabe.linalg import (
     Bipartition,
     DensityMatrix,
-    I2,
     LinalgError,
     SIGMA_X,
     SIGMA_Z,
@@ -32,6 +31,8 @@ from bcabe.linalg import (
 )
 from conftest import random_density_matrix, random_hermitian, random_sparse_hermitian, read_dump
 from dense_oracle import group_entries, group_qubits, partial_trace
+
+I2 = np.eye(2, dtype=complex)
 
 
 class TestTensor:

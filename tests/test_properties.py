@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcabe import protocol
 from bcabe.analyze import certify_two_vs_rest_separable, is_ppt
-from bcabe.basis import BELL_LABELS, BellLabel, bell_projector, complement, ghz_state
+from bcabe.basis import BELL_LABELS, BellLabel, bell_projector
 from bcabe.construct import NoisyWeights, noisy_state
 from bcabe.linalg import (
     Bipartition,
@@ -17,7 +17,7 @@ from bcabe.linalg import (
     transpose_qubits,
 )
 from conftest import random_density_matrix, random_hermitian
-from dense_oracle import partial_trace
+from dense_oracle import complement, ghz_state, partial_trace
 
 SETTINGS = settings(deadline=None, max_examples=100)
 
