@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BellLabel, bell_projector
+from .basis import BELL_LABELS, BellLabel, bell_projector
 from .config import TOL
 from .construct import (
     NoisyWeights,
@@ -173,7 +173,7 @@ class BellDiagonalVerdict:
     w_max: float
     entangled: bool
     min_pt_eigenvalue: float
-    ppt_verdicts: tuple[CutVerdict, ...]  # of pi+, pi-, gamma+, gamma-
+    ppt_verdicts: tuple[CutVerdict, ...]  # one Bell-diagonal form per label, in BELL_LABELS order
 
 
 _PAIR_CUT = Bipartition.of((1,), 2)
@@ -182,16 +182,13 @@ _PAIR_CUT = Bipartition.of((1,), 2)
 def bell_diagonal_entangled(weights: NoisyWeights, ppt: float = TOL.ppt) -> BellDiagonalVerdict:
     """Largest-weight verdict w > 1/2, cross-checked against the PPT test.
 
-    The rule and the ("pi", +1) verdict must agree whenever w_max sits clearly
+    The rule and the Phi+ form's verdict must agree whenever w_max sits clearly
     off the 1/2 boundary; disagreement there raises, being an internal
     inconsistency. The verdicts of all four Bell-diagonal forms are returned.
     """
     w = weights.w_max
     rule = w > 0.5
-    verdicts = tuple(
-        is_ppt(bell_diagonal(weights, family, sign), _PAIR_CUT, ppt)
-        for family, sign in (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
-    )
+    verdicts = tuple(is_ppt(bell_diagonal(weights, label), _PAIR_CUT, ppt) for label in BELL_LABELS)
     verdict = verdicts[0]
     if (not verdict.ppt) != rule and abs(w - 0.5) > 10 * ppt:
         raise AnalyzeError(
@@ -364,12 +361,11 @@ def gather_evidence(rho: DensityMatrix, ppt: float = TOL.ppt) -> StateEvidence:
 class AbeReport(StateEvidence):
     """A state's evidence plus the activation step and the overall verdict."""
 
-    descriptor: str
     activation: ActivationEvidence
     activable: bool
 
 
-def classify_abe(rho: DensityMatrix, descriptor: str = "state", ppt: float = TOL.ppt) -> AbeReport:
+def classify_abe(rho: DensityMatrix, ppt: float = TOL.ppt) -> AbeReport:
     """Full checklist: the state's evidence, then activation.
 
     activable requires an NPT cut, a PPT verdict plus certificate on every
@@ -399,4 +395,4 @@ def classify_abe(rho: DensityMatrix, descriptor: str = "state", ppt: float = TOL
         and evidence.two_vs_rest_separable_certified and all_entangled
     )
     fields = {**vars(evidence), "timings": timings}
-    return AbeReport(**fields, descriptor=descriptor, activation=activation, activable=activable)
+    return AbeReport(**fields, activation=activation, activable=activable)

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -128,42 +128,24 @@ def _scalar_text(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    state_class: StateClass | None
-    weights: NoisyWeights | None
-    n: int
-    keep: tuple[int, int] | None
-    pairing: tuple[tuple[int, int], ...] | None
-    ppt: float
-    json_path: str | None
-    dump_path: str | None
-    line: str | None  # noisy-scan only
-    points: int | None  # noisy-scan only
-    include_timings: bool
+def _state(args: argparse.Namespace) -> DensityMatrix:
+    if args.state_class:
+        return projector_direct(args.state_class, args.n)
+    if args.noisy:
+        return noisy_state(args.noisy, args.n)
+    raise ConfigError("no state given: use --class or --noisy")
 
-    @property
-    def descriptor(self) -> str:  # read only once state() has found a state
-        return f"{(self.state_class or self.weights).descriptor} n={self.n}"
 
-    def state(self) -> DensityMatrix:
-        if self.state_class is not None:
-            return projector_direct(self.state_class, self.n)
-        if self.weights is not None:
-            return noisy_state(self.weights, self.n)
-        raise ConfigError("no state given: use --class or --noisy")
+def _descriptor(args: argparse.Namespace) -> str:  # read only once _state() has found a state
+    return f"{(args.state_class or args.noisy).descriptor} n={args.n}"
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 2:
-        raise ConfigError(f"expected i,j — got {text!r}")
-    return (int(parts[0]), int(parts[1]))
-
-
-def _parse_pairing(text: str) -> tuple[tuple[int, int], ...]:
-    return tuple(_parse_pair(chunk) for chunk in text.split(";") if chunk.strip())
+    try:
+        i, j = (int(p) for p in text.split(",") if p.strip())
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ConfigError(f"expected i,j — got {text!r}") from None
+    return (i, j)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -174,11 +156,11 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # every subcommand defines --n, --json, --timings and --tol-ppt; only some define the rest
-    state_class = StateClass.parse(args.state_class) if getattr(args, "state_class", None) else None
-    weights = NoisyWeights.parse(args.noisy) if getattr(args, "noisy", None) else None
-    if state_class is not None and weights is not None:
+def _check_args(args: argparse.Namespace) -> None:
+    """Check the parsed options and convert them in place, each under its argv name."""
+    args.state_class = StateClass.parse(args.state_class) if args.state_class else None
+    args.noisy = NoisyWeights.parse(args.noisy) if args.noisy else None
+    if args.state_class and args.noisy:
         raise ConfigError("--class and --noisy are mutually exclusive")
     n, ceiling = args.n, max_qubits()
     if n % 2 or not 4 <= n <= ceiling:
@@ -186,32 +168,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             f"--n must be even with 4 <= n <= {ceiling} "
             f"(set {MAX_QUBITS_ENV} to raise the ceiling); got {n}"
         )
-    keep = _parse_pair(args.keep) if getattr(args, "keep", None) else None
-    if keep is not None and (keep[0] == keep[1] or not set(keep) <= set(range(1, n + 1))):
-        raise ConfigError(f"--keep must be two distinct qubits of 1..{n}; got {args.keep!r}")
-    ppt = args.tol_ppt
-    if not (math.isfinite(ppt) and ppt > 0):
+    if args.keep is not None:
+        text, args.keep = args.keep, _parse_pair(args.keep)
+        if args.keep[0] == args.keep[1] or not set(args.keep) <= set(range(1, n + 1)):
+            raise ConfigError(f"--keep must be two distinct qubits of 1..{n}; got {text!r}")
+    if not (math.isfinite(args.tol_ppt) and args.tol_ppt > 0):
         raise ConfigError("--tol-ppt must be finite and positive")
-    dump = getattr(args, "dump", None)
-    if args.json and dump and _same_file(args.json, dump):
-        raise ConfigError(f"--dump and --json name the same file: {dump!r}")
-    points = getattr(args, "points", None)
-    if points is not None and not 3 <= points <= MAX_POINTS:
-        raise ConfigError(f"--points must be between 3 and {MAX_POINTS}; got {points}")
-    return RunConfig(
-        command=args.command,
-        state_class=state_class,
-        weights=weights,
-        n=n,
-        keep=keep,
-        pairing=_parse_pairing(args.pairing) if getattr(args, "pairing", None) else None,
-        ppt=ppt,
-        json_path=args.json,
-        dump_path=dump,
-        line=getattr(args, "line", None),
-        points=points,
-        include_timings=args.timings,
-    )
+    if args.json and args.dump and _same_file(args.json, args.dump):
+        raise ConfigError(f"--dump and --json name the same file: {args.dump!r}")
+    if args.points is not None and not 3 <= args.points <= MAX_POINTS:
+        raise ConfigError(f"--points must be between 3 and {MAX_POINTS}; got {args.points}")
+    # an empty --pairing means the default one
+    args.pairing = tuple(_parse_pair(c) for c in args.pairing.split(";") if c.strip()) if args.pairing else None
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +187,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
-    state = cfg.state()
+def cmd_construct(args: argparse.Namespace) -> tuple[dict, bool]:
+    state = _state(args)
     matrix = state.matrix  # refused over the dense budget, before any output
     state.validate()
     eigs = state.eigenvalues()
     rank = int((eigs > 1e-8).sum())
     report = {
-        "state": cfg.descriptor,
-        "qubits": cfg.n,
+        "state": _descriptor(args),
+        "qubits": args.n,
         "dim": state.dim,
         "trace": state.trace(),
         "rank": rank,
         "max_eigenvalue": float(eigs[-1]),
-        "dump": cfg.dump_path or "stdout",
+        "dump": args.dump or "stdout",
         "checks": ["trace-normalization", "rank"],
         # dumped by main once the JSON report is out, then dropped from it
         DUMP_MATRIX: matrix,
@@ -240,14 +208,14 @@ def cmd_construct(cfg: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
-    states, checks = analyze.check_family(cfg.n)
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
+    states, checks = analyze.check_family(args.n)
     # one state's evidence at a time: it holds every certificate's factor states
-    per_state = [analyze.gather_evidence(rho, cfg.ppt).checks(cls.descriptor) for cls, rho in states.items()]
+    per_state = [analyze.gather_evidence(rho, args.tol_ppt).checks(cls.descriptor) for cls, rho in states.items()]
     checks += [c for lines in zip(*per_state) for c in lines]
     failed = [c for c in checks if not c.passed]
     report = {
-        "qubits": cfg.n,
+        "qubits": args.n,
         "passed": not failed,
         "failed_checks": [f"{c.name}[{c.state}]" for c in failed],
         "checks": [
@@ -257,9 +225,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     return report, not failed
 
 
-def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
-    state = cfg.state()
-    result = protocol.unlock_sequential(state, cfg.keep, cfg.pairing)
+def cmd_unlock(args: argparse.Namespace) -> tuple[dict, bool]:
+    result = protocol.unlock_sequential(_state(args), args.keep, args.pairing)
     branches = [
         {
             "labels": [lb.symbol for lb in b.labels],
@@ -269,9 +236,9 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
         }
         for b in result.branches
     ]
-    ok = cfg.state_class is None or result.min_fidelity >= 1 - TOL.fidelity
+    ok = args.state_class is None or result.min_fidelity >= 1 - TOL.fidelity
     report = {
-        "state": cfg.descriptor,
+        "state": _descriptor(args),
         "keep": list(result.keep),
         "pairing": [list(p) for p in result.pairing],
         "branches": branches,
@@ -279,7 +246,7 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
             "branch_count": len(result.branches),
             "total_probability": result.total_probability,
             "min_fidelity": result.min_fidelity,
-            "max_fidelity": max((b.fidelity for b in result.branches if b.fidelity is not None), default=0.0),
+            "max_fidelity": result.max_fidelity,
             "xor_rule_holds": result.xor_rule_holds,
         },
         "checks": ["branch-enumeration", "bell-fidelity", "xor-label-rule"],
@@ -287,10 +254,9 @@ def cmd_unlock(cfg: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
-    state = cfg.state()
-    group = tuple(q for q in range(1, cfg.n + 1) if q not in cfg.keep)
-    outcomes = protocol.discriminate_subspace(state, group)
+def cmd_discriminate(args: argparse.Namespace) -> tuple[dict, bool]:
+    group = tuple(q for q in range(1, args.n + 1) if q not in args.keep)
+    outcomes = protocol.discriminate_subspace(_state(args), group)
     live = [o.post_state.matrix for o in outcomes if o.post_state is not None]
     found = zip(*(a.tolist() for a in protocol.best_bell(np.array(live).reshape(-1, 4, 4))))
     rows = []
@@ -306,8 +272,8 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
         })
     ok = abs(total - 1.0) < TOL.probability
     report = {
-        "state": cfg.descriptor,
-        "keep": list(cfg.keep),
+        "state": _descriptor(args),
+        "keep": list(args.keep),
         "group": list(group),
         "outcomes": rows,
         "total_probability": total,
@@ -316,18 +282,17 @@ def cmd_discriminate(cfg: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_noisy_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     rows = []
     agree_everywhere = True
-    for i in range(cfg.points):
-        w = i / (cfg.points - 1)
-        weights = SCAN_LINES[cfg.line](w)
-        verdict = analyze.bell_diagonal_entangled(weights, cfg.ppt)
+    for i in range(args.points):
+        w = i / (args.points - 1)
+        weights = SCAN_LINES[args.line](w)
+        verdict = analyze.bell_diagonal_entangled(weights, args.tol_ppt)
         ppt_rows = verdict.ppt_verdicts
         agree = all((not v.ppt) == verdict.entangled for v in ppt_rows)
         agree_everywhere = agree_everywhere and agree
-        unlocked = protocol.unlock_sequential(noisy_state(weights, cfg.n), (1, 2))
-        best = max((b.fidelity for b in unlocked.branches if b.fidelity is not None), default=0.0)
+        unlocked = protocol.unlock_sequential(noisy_state(weights, args.n), (1, 2))
         rows.append(
             {
                 "w": w,
@@ -336,7 +301,7 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
                 "ppt": ppt_rows[0].ppt,
                 "min_pt_eigenvalue": ppt_rows[0].min_eigenvalue,
                 "negativity": ppt_rows[0].negativity,
-                "unlocked_pair_fidelity": best,
+                "unlocked_pair_fidelity": unlocked.max_fidelity,
                 "rule_agrees_with_ppt": agree,
             }
         )
@@ -345,9 +310,9 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
     flips_at_half = all(a <= 0.5 <= b for a, b in flips)
     ok = agree_everywhere and flips_at_half
     report = {
-        "qubits": cfg.n,
-        "line": cfg.line,
-        "points": cfg.points,
+        "qubits": args.n,
+        "line": args.line,
+        "points": args.points,
         "rows": rows,
         "summary": {
             "flips": flips,
@@ -359,9 +324,8 @@ def cmd_noisy_scan(cfg: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
-    state = cfg.state()
-    rep = analyze.classify_abe(state, cfg.descriptor, cfg.ppt)
+def cmd_report(args: argparse.Namespace) -> tuple[dict, bool]:
+    rep = analyze.classify_abe(_state(args), args.tol_ppt)
     cuts = [
         {
             "left": list(v.cut.left),
@@ -381,7 +345,7 @@ def cmd_report(cfg: RunConfig) -> tuple[dict, bool]:
         for c in rep.certificates
     ]
     report = {
-        "state": rep.descriptor,
+        "state": _descriptor(args),
         "qubits": rep.qubits,
         "cuts": cuts,
         "permutation_invariant": rep.permutation_invariant,
@@ -417,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bcabe",
         description="Construct, verify, and activate the four bound-entangled projector states.",
     )
+    # every subcommand's namespace holds every option: None where it takes none
+    parser.set_defaults(state_class=None, noisy=None, keep=None, pairing=None, dump=None, line=None, points=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     report_args = argparse.ArgumentParser(add_help=False)  # every command takes these three
@@ -458,26 +424,26 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
         t0 = time.perf_counter()
-        body, ok = COMMANDS[cfg.command](cfg)
+        body, ok = COMMANDS[args.command](args)
         timings = body.pop(TIMINGS, None) or {"total": time.perf_counter() - t0}
         matrix = body.pop(DUMP_MATRIX, None)
         # every report opens with its command and closes with the thresholds in use
-        report = {"command": cfg.command, **body, "tolerances": {**TOL.as_dict(), "ppt": cfg.ppt}}
-        if cfg.include_timings:
+        report = {"command": args.command, **body, "tolerances": {**TOL.as_dict(), "ppt": args.tol_ppt}}
+        if args.timings:
             report[TIMINGS] = timings
         payload = render_json(report) + "\n"
-        if cfg.json_path:
-            with open(cfg.json_path, "w") as fh:
+        if args.json:
+            with open(args.json, "w") as fh:
                 fh.write(payload)
-        if matrix is not None and cfg.dump_path:
-            with open(cfg.dump_path, "w") as fh:
+        if matrix is not None and args.dump:
+            with open(args.dump, "w") as fh:
                 fh.writelines(dump_matrix(matrix))
         text = render_text(report)
-        if matrix is not None and not cfg.dump_path:
+        if matrix is not None and not args.dump:
             sys.stdout.writelines(dump_matrix(matrix))
-        stream = sys.stderr if cfg.command == "construct" and not cfg.dump_path else sys.stdout
+        stream = sys.stderr if args.command == "construct" and not args.dump else sys.stdout
         stream.write(text)
         sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:

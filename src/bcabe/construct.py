@@ -201,22 +201,9 @@ SCAN_LINES = {
 }
 
 
-def bell_diagonal(weights: NoisyWeights, family: str, sign: int) -> DensityMatrix:
-    """The 2-qubit Bell-diagonal mixtures the activation protocol leaves behind.
-
-    family 'pi': x+-weighted on [Phi+-]; family 'gamma': x+-weighted on [Psi+-].
-    """
-    if family not in ("pi", "gamma"):
-        raise ConstructError(f"family must be 'pi' or 'gamma', got {family!r}")
-    if sign not in (+1, -1):
-        raise ConstructError(f"sign must be +1 or -1, got {sign}")
-    phase = 0 if sign > 0 else 1
-    major = 0 if family == "pi" else 1  # parity of the x-weighted Bell pair
-    x1, x2, y1, y2 = weights.as_tuple()
-    m = (
-        x1 * bell_projector(BellLabel(major, phase))
-        + x2 * bell_projector(BellLabel(major, phase ^ 1))
-        + y1 * bell_projector(BellLabel(major ^ 1, phase))
-        + y2 * bell_projector(BellLabel(major ^ 1, phase ^ 1))
-    )
-    return DensityMatrix(2, m)
+def bell_diagonal(weights: NoisyWeights, label: BellLabel = basis.PHI_PLUS) -> DensityMatrix:
+    """sum_l w_l [Bell_(l ^ label)] over the class labels l, added in class order:
+    the 2-qubit Bell-diagonal state an unlock branch leaves behind when its
+    measured labels XOR to `label`."""
+    x1, x2, y1, y2 = (w * bell_projector(b ^ label) for w, b in zip(weights.as_tuple(), BELL_LABELS))
+    return DensityMatrix(2, x1 + x2 + y1 + y2)

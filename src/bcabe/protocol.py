@@ -58,7 +58,8 @@ class UnlockResult:
     keep: tuple[int, int]
     pairing: tuple[tuple[int, int], ...]
     branches: tuple[UnlockBranch, ...]
-    min_fidelity: float
+    min_fidelity: float  # the extremes over the live branches,
+    max_fidelity: float  # each 0.0 when no branch is live
     xor_rule_holds: bool
 
     @property
@@ -214,7 +215,7 @@ def unlock_sequential(
             branches.append(UnlockBranch(labels, p, DensityMatrix(2, state), BELL_LABELS[best], fid))
         else:
             branches.append(UnlockBranch(labels, max(p, 0.0), None, None, None))
-    return UnlockResult(keep, pairing, tuple(branches), min(fids, default=0.0), xor_rule)
+    return UnlockResult(keep, pairing, tuple(branches), min(fids, default=0.0), max(fids, default=0.0), xor_rule)
 
 
 def _normalized(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

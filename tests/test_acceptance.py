@@ -243,11 +243,10 @@ def test_criterion_09_noisy_threshold():
             v = bell_diagonal_entangled(weights)
             assert v.entangled == (weights.w_max > 0.5), (name, w)
             # PPT test on all four activated-pair states agrees with the rule
-            for family in ("pi", "gamma"):
-                for sign in (+1, -1):
-                    dm = bell_diagonal(weights, family, sign)
-                    ppt = is_ppt(dm, Bipartition.of((1,), 2)).ppt
-                    assert (not ppt) == v.entangled, (name, w, family, sign)
+            for label in BELL_LABELS:
+                dm = bell_diagonal(weights, label)
+                ppt = is_ppt(dm, Bipartition.of((1,), 2)).ppt
+                assert (not ppt) == v.entangled, (name, w, label)
             verdicts.append(v.entangled)
         flips[name] = [
             (grid[i], grid[i + 1])

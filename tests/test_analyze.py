@@ -329,6 +329,66 @@ class TestPermutationInvariance:
             assert not ok and dev > 0.1, k
 
 
+def _pair_state(rng: np.random.Generator, n: int) -> DensityMatrix:
+    """A random state that is not permutation invariant, in small blocks: a few
+    superpositions of two random basis states over a diagonal floor, so some
+    cuts read NPT and some PPT, and every spectrum is cheap."""
+    dim = 2**n
+    m = np.diag(4 * rng.random(dim)).astype(complex)
+    for _ in range(n):
+        v = np.zeros(dim, dtype=complex)
+        v[rng.choice(dim, 2, replace=False)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        m += np.outer(v, v.conj())
+    return DensityMatrix(n, m / np.trace(m).real)
+
+
+def _four_term_state(rng: np.random.Generator, n: int) -> DensityMatrix:
+    """sum_b p_b [Bell_b]_(1,2) (x) tau_b with tau_b drawn as above: separable
+    across (1, 2) | rest, with a certificate, and not permutation invariant."""
+    p = rng.dirichlet(np.ones(4))
+    terms = (w * tensor(bell_projector(b), _pair_state(rng, n - 2).matrix) for w, b in zip(p, BELL_LABELS))
+    return DensityMatrix(n, sum(terms))
+
+
+class TestRelabellingQubits:
+    """Relabelling the qubits by a permutation pi, and every cut and pair with
+    them, commutes with the cut scan and with the pair certificates."""
+
+    @staticmethod
+    def _draws(n: int, makers):
+        rng = np.random.default_rng(70 + n)
+        for make in makers:
+            rho = make(rng, n)
+            assert not check_permutation_invariance(rho)[0]
+            perm = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+            yield rho, perm, apply_qubit_permutation(rho, perm)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_cut_scan_commutes_with_relabelling(self, n):
+        seen = set()
+        for rho, perm, moved in self._draws(n, [_pair_state] * 3):
+            for v in scan_all_cuts(rho):
+                again = is_ppt(moved, Bipartition.of([perm[q - 1] for q in v.cut.left], n))
+                assert again.ppt == v.ppt, (perm, v.cut)
+                assert abs(again.min_eigenvalue - v.min_eigenvalue) < 1e-12
+                seen.add(v.ppt)
+        assert seen == {True, False}  # the draws hold PPT and NPT cuts alike
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_certificates_commute_with_relabelling(self, n):
+        seen = set()
+        for rho, perm, moved in self._draws(n, [_pair_state, _pair_state, _four_term_state]):
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                cert = certify_two_vs_rest_separable(rho, (i, j))
+                again = certify_two_vs_rest_separable(moved, (perm[i - 1], perm[j - 1]))
+                assert again.ok == cert.ok
+                assert abs(again.reconstruction_error - cert.reconstruction_error) < 1e-12
+                for label in BELL_LABELS:  # a Bell projector is symmetric in its two qubits
+                    assert abs(again.weights[label] - cert.weights[label]) < 1e-12
+                seen.add(cert.ok)
+        assert seen == {True, False}  # the four-term state certifies on (1, 2), the others on no pair
+
+
 class TestBellDiagonalEntangled:
     def test_point_six(self):
         v = bell_diagonal_entangled(NoisyWeights(0.6, 0.4, 0.0, 0.0))
@@ -347,10 +407,9 @@ class TestBellDiagonalEntangled:
     def test_verdicts_of_all_four_forms(self):
         w = NoisyWeights(0.7, 0.0, 0.3, 0.0)
         v = bell_diagonal_entangled(w)
-        forms = (("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1))
         assert len(v.ppt_verdicts) == 4
-        for verdict, (family, sign) in zip(v.ppt_verdicts, forms):
-            again = is_ppt(bell_diagonal(w, family, sign), Bipartition.of((1,), 2))
+        for verdict, label in zip(v.ppt_verdicts, BELL_LABELS):
+            again = is_ppt(bell_diagonal(w, label), Bipartition.of((1,), 2))
             assert verdict == again
         assert v.min_pt_eigenvalue == v.ppt_verdicts[0].min_eigenvalue
 
@@ -364,7 +423,7 @@ class TestBellDiagonalEntangled:
 
 class TestClassifyAbe:
     def test_smolin_is_activable(self, class_states):
-        report = classify_abe(class_states[(RHO_PLUS, 4)], "rho+ n=4")
+        report = classify_abe(class_states[(RHO_PLUS, 4)])
         assert report.activable
         assert report.permutation_invariant
         assert report.two_vs_rest_separable_certified
@@ -373,7 +432,7 @@ class TestClassifyAbe:
 
     def test_noisy_below_threshold_not_activable(self):
         dm = noisy_state(NoisyWeights(0.4, 0.2, 0.2, 0.2), 6)
-        report = classify_abe(dm, "noisy w=0.4 n=6")
+        report = classify_abe(dm)
         assert not report.activation.all_branches_entangled
         assert not report.activable
         # still separable across pair cuts and permutation invariant
@@ -382,12 +441,12 @@ class TestClassifyAbe:
 
     def test_noisy_above_threshold_activable(self):
         dm = noisy_state(NoisyWeights(0.7, 0.1, 0.1, 0.1), 4)
-        report = classify_abe(dm, "noisy w=0.7 n=4")
+        report = classify_abe(dm)
         assert report.activation.all_branches_entangled
         assert report.activable
 
     def test_maximally_mixed_not_activable(self):
-        report = classify_abe(DensityMatrix(4, np.eye(16) / 16), "I/16")
+        report = classify_abe(DensityMatrix(4, np.eye(16) / 16))
         assert not report.has_npt_cut
         assert not report.activable
 

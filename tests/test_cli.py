@@ -88,7 +88,7 @@ class TestVerify:
         assert elapsed < 60.0
 
     def test_failure_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setitem(cli.COMMANDS, "verify", lambda cfg: ({"passed": False}, False))
+        monkeypatch.setitem(cli.COMMANDS, "verify", lambda args: ({"passed": False}, False))
         assert run(["verify", "--n", "4"]) == 1
 
 
@@ -264,7 +264,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_report_exits_2_without_json(self, value, monkeypatch, tmp_path, capsys):
         report = {"command": "discriminate", "outcomes": [{"probability": value}]}
-        monkeypatch.setitem(cli.COMMANDS, "discriminate", lambda cfg: (report, True))
+        monkeypatch.setitem(cli.COMMANDS, "discriminate", lambda args: (report, True))
         path = tmp_path / "report.json"
         argv = ["discriminate", "--class", "rho+", "--n", "4", "--json", str(path)]
         assert run(argv) == 2
@@ -347,7 +347,7 @@ class TestOutputErrors:
         assert done.returncode == 2
 
     def test_memory_error_exits_2(self, monkeypatch, capsys):
-        def exhausted(cfg):
+        def exhausted(args):
             raise MemoryError
 
         monkeypatch.setitem(cli.COMMANDS, "verify", exhausted)
@@ -387,6 +387,21 @@ class TestConfigErrors:
         assert run(
             ["unlock", "--class", "rho+", "--n", "6", "--keep", "1,2", "--pairing", "3,4"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, text, named",
+        [
+            ("unlock", "--keep", "a,b", "a,b"),
+            ("unlock", "--keep", "1,2.5", "1,2.5"),
+            ("unlock", "--keep", "", ""),
+            ("discriminate", "--keep", "a,b", "a,b"),
+            ("discriminate", "--keep", "", ""),
+            ("unlock", "--pairing", "3,4;5,x", "5,x"),
+        ],
+    )
+    def test_pair_that_is_not_two_integers_names_its_text(self, command, flag, text, named, capsys):
+        assert run([command, "--class", "rho+", "--n", "6", flag, text]) == 2
+        assert capsys.readouterr() == ("", f"error: expected i,j — got {named!r}\n")
 
     @pytest.mark.parametrize("keep", ["1,5", "2,2", "0,1"])
     @pytest.mark.parametrize("command", ["unlock", "discriminate"])

@@ -344,22 +344,38 @@ class TestEntriesMatchDenseOracles:
 class TestBellDiagonal:
     def test_pi_plus_degenerate(self):
         w = NoisyWeights(1.0, 0.0, 0.0, 0.0)
-        dm = bell_diagonal(w, "pi", +1)
+        dm = bell_diagonal(w, BELL_LABELS[0])
         assert np.abs(dm.matrix - bell_projector(BELL_LABELS[0])).max() < 1e-15
 
     def test_gamma_plus_degenerate(self):
         w = NoisyWeights(1.0, 0.0, 0.0, 0.0)
-        dm = bell_diagonal(w, "gamma", +1)
+        dm = bell_diagonal(w, BELL_LABELS[2])
         assert np.abs(dm.matrix - bell_projector(BELL_LABELS[2])).max() < 1e-15
 
     def test_werner_line_reproduces_werner_state(self):
         for w_val in (0.3, 0.5, 0.8):
             rest = (1 - w_val) / 3
-            dm = bell_diagonal(NoisyWeights(w_val, rest, rest, rest), "pi", +1)
+            dm = bell_diagonal(NoisyWeights(w_val, rest, rest, rest), BELL_LABELS[0])
             p = (4 * w_val - 1) / 3
             werner = p * bell_projector(BELL_LABELS[0]) + (1 - p) * np.eye(4) / 4
             assert np.abs(dm.matrix - werner).max() < 1e-14
 
-    def test_bad_family(self):
-        with pytest.raises(ConstructError):
-            bell_diagonal(NoisyWeights(1, 0, 0, 0), "omega", +1)
+    def test_same_bytes_as_the_family_and_sign_sum(self):
+        # the form as (family, sign) wrote it: family pi puts x+ and x- on
+        # [Phi+-] and gamma on [Psi+-], the sign picks which of them gets x+
+        rng = np.random.default_rng(29)
+        draws = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.5, 0.0), (0.0, 0.0, 0.25, 0.75)]
+        draws += [tuple(rng.dirichlet(np.ones(4)).tolist()) for _ in range(300)]
+        forms = [("pi", +1), ("pi", -1), ("gamma", +1), ("gamma", -1)]  # BELL_LABELS order
+        for x1, x2, y1, y2 in draws:
+            for (family, sign), label in zip(forms, BELL_LABELS):
+                major, phase = int(family == "gamma"), int(sign < 0)
+                old = DensityMatrix(2, (
+                    x1 * bell_projector(BellLabel(major, phase))
+                    + x2 * bell_projector(BellLabel(major, phase ^ 1))
+                    + y1 * bell_projector(BellLabel(major ^ 1, phase))
+                    + y2 * bell_projector(BellLabel(major ^ 1, phase ^ 1))
+                ))
+                new = bell_diagonal(NoisyWeights(x1, x2, y1, y2), label)
+                assert [a.tobytes() for a in new.entries()] == [a.tobytes() for a in old.entries()]
+                assert new.matrix.tobytes() == old.matrix.tobytes()

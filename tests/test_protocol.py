@@ -59,7 +59,7 @@ class TestBellFidelity:
         assert label == PHI_PLUS and fid == pytest.approx(0.25)
 
     def test_bell_diagonal_mixture(self):
-        dm = bell_diagonal(NoisyWeights(0.6, 0.4, 0.0, 0.0), "pi", +1)
+        dm = bell_diagonal(NoisyWeights(0.6, 0.4, 0.0, 0.0), PHI_PLUS)
         label, fid = bell_fidelity(dm)
         assert label == PHI_PLUS and fid == pytest.approx(0.6)
 
@@ -222,6 +222,21 @@ class TestUnlockSequential:
             assert b.fidelity == pytest.approx(0.4, abs=1e-12)
             eigs = hermitian_eigenvalues(b.state.matrix)
             assert np.allclose(np.sort(eigs), [0.1, 0.2, 0.3, 0.4], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_every_branch_is_the_bell_diagonal_form_of_its_labels(self, n):
+        # a mixture's branch leaves sum_l w_l [Bell_(l ^ L)] on the kept pair,
+        # L the XOR of its measured labels: the Bell-diagonal state the paper
+        # matches to the noisy states (R. & M. Horodecki, PRA 54, 1838 (1996))
+        rng = np.random.default_rng(60 + n)
+        w = NoisyWeights(*rng.dirichlet(np.ones(4)).tolist())
+        keep = tuple(rng.choice(np.arange(1, n + 1), 2, replace=False).tolist())
+        result = unlock_sequential(noisy_state(w, n), keep)
+        assert len(result.branches) == 4 ** (n // 2 - 1)
+        for b in result.branches:
+            form = bell_diagonal(w, functools.reduce(operator.xor, b.labels))
+            assert np.abs(b.state.matrix - form.matrix).max() < 1e-12
+        assert result.max_fidelity == max(b.fidelity for b in result.branches) == pytest.approx(w.w_max, abs=1e-12)
 
     def test_keep_pair_independence(self, class_states):
         reference = None
