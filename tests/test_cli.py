@@ -497,6 +497,7 @@ class TestGoldenBytes:
         "unlock_noisy_n8": [
             "unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "8", "--keep", "1,3", "--pairing", "2,5;4,8;6,7",
         ],
+        "verify_n10": ["verify", "--n", "10"],
         "verify_n12": ["verify", "--n", "12"],
         "report_noisy_n6_tol0p1": ["report", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6", "--tol-ppt", "0.1"],
         "verify_n6_tol0p3": ["verify", "--n", "6", "--tol-ppt", "0.3"],
@@ -509,6 +510,7 @@ class TestGoldenBytes:
         "discriminate_noisy_n10": ["discriminate", "--noisy", "0.553,0.2,0.147,0.1", "--n", "10", "--keep", "2,7"],
     }
     ENV = {
+        "verify_n10": {"BCABE_MAX_N": "10"},
         "verify_n12": {"BCABE_MAX_N": "12"},
         "unlock_noisy_n10": {"BCABE_MAX_N": "10"},
         "discriminate_noisy_n10": {"BCABE_MAX_N": "10"},
