@@ -9,9 +9,11 @@ actually have.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .construct import (
     bell_diagonal,
     pauli_relate,
     projector_direct,
-    projector_recursive,
+    recursive_family,
 )
 from .linalg import (
     Bipartition,
@@ -57,7 +59,7 @@ class CutVerdict:
     negativity: float
 
 
-def _cut_verdicts(rho: DensityMatrix, cuts: list[Bipartition], ppt: float) -> list[CutVerdict]:
+def _cut_verdicts(rho: DensityMatrix, cuts: Sequence[Bipartition], ppt: float) -> list[CutVerdict]:
     """PPT tests with eigenvalue evidence for the cuts, from one stacked solve."""
     if not rho.validated():
         rho.validate()
@@ -75,13 +77,14 @@ def is_ppt(rho: DensityMatrix, cut: Bipartition, ppt: float = TOL.ppt) -> CutVer
     return _cut_verdicts(rho, [cut], ppt)[0]
 
 
-def _cuts(n: int) -> list[Bipartition]:
+@functools.cache
+def _cuts(n: int) -> tuple[Bipartition, ...]:
     # both lists come out sorted by (left size, left)
     if n <= 8:
         lefts = [(1,) + extra for r in range(n - 1) for extra in itertools.combinations(range(2, n + 1), r)]
     else:
         lefts = [tuple(range(1, k + 1)) for k in range(1, n // 2 + 1)]
-    return [Bipartition.of(left, n) for left in lefts]
+    return tuple(Bipartition.of(left, n) for left in lefts)
 
 
 def scan_all_cuts(rho: DensityMatrix, ppt: float = TOL.ppt) -> list[CutVerdict]:
@@ -111,40 +114,62 @@ class SeparabilityCertificate:
     reason: str | None = None
 
 
-def certify_two_vs_rest_separable(rho: DensityMatrix, pair: tuple[int, int]) -> SeparabilityCertificate:
-    """Constructive separability witness for the pair-vs-rest cut.
-
-    Extracts the Bell-conditional operators on the pair, renormalizes them,
-    and checks that the four product terms rebuild the state. Failure means
-    the state has no such four-term form, not that it is entangled.
-    """
-    pair = (min(pair), max(pair))
+def _reconstruction_error(
+    rho: DensityMatrix, pair: tuple[int, int], outcomes: list[protocol.MeasurementOutcome]
+) -> float:
+    """Frobenius norm of sum_b p_b [Bell_b]_pair (x) tau_b - rho over the pair's
+    live outcomes, in split_index's (pair, rest) layout: each term on the (a, b)
+    blocks of its Bell projector, in label order, then the state subtracted."""
     n, rest = rho.qubits, 2 ** (rho.qubits - 2)
-    outcomes = protocol.bell_measure(rho, pair)
-    weights = {o.label: o.probability for o in outcomes}
-    factors = {o.label: o.post_state for o in outcomes}
-    reason = None
-    # the residual in split_index's (pair, rest) layout: each term on the (a, b)
-    # blocks of its Bell projector, in label order, then the state subtracted
     rows, cols, vals = rho.entries()
     (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
     parts = []
-    solved = {label: tau for label, tau in factors.items() if tau is not None}
-    floors = spectra(rest, [tau.entries() for tau in solved.values()])[:, 0].tolist() if solved else []
-    for (label, tau), lo in zip(solved.items(), floors):
-        if lo < -TOL.psd:
-            reason = f"conditional state for {label} not PSD (min eig {lo:.3e})"
-        proj = bell_projector(label)
-        t_rows, t_cols, t_vals = tau.entries()
-        for i, j in zip(*np.nonzero(proj)):
-            parts.append((i * rest + t_rows, j * rest + t_cols, weights[label] * (proj[i, j] * t_vals)))
+    for o in outcomes:
+        if o.post_state is not None:
+            proj = bell_projector(o.label)
+            t_rows, t_cols, t_vals = o.post_state.entries()
+            for i, j in zip(*np.nonzero(proj)):
+                parts.append((i * rest + t_rows, j * rest + t_cols, o.probability * (proj[i, j] * t_vals)))
     parts.append((a * rest + r, b * rest + s, -vals))
-    if abs(sum(weights.values()) - 1.0) > TOL.probability:
-        reason = reason or f"weights sum to {sum(weights.values())!r}"
-    err = norm_of(add_entries(4 * rest, parts)[2])
-    if err > TOL.certificate:
-        reason = reason or f"reconstruction error {err:.3e}"
-    return SeparabilityCertificate(pair, weights, factors, err, reason is None, reason)
+    return norm_of(add_entries(4 * rest, parts)[2])
+
+
+def certify_pairs(rho: DensityMatrix, pairs: Iterable[tuple[int, int]]) -> list[SeparabilityCertificate]:
+    """Constructive separability witnesses for the pair-vs-rest cuts, one per pair.
+
+    Each pair's Bell-conditional operators are extracted and renormalized, and
+    the four product terms must rebuild the state. Failure means the state has
+    no such four-term form, not that it is entangled. The PSD floors of every
+    pair's factor states come from one stacked solve, each with the bits it
+    gets alone; the measurement and the residual stay one pair at a time, so
+    only one pair's moved entries are held at once.
+    """
+    measured = []
+    for pair in pairs:
+        pair = (min(pair), max(pair))
+        outcomes = protocol.bell_measure(rho, pair)
+        measured.append((pair, outcomes, _reconstruction_error(rho, pair, outcomes)))
+    solved = [o.post_state.entries() for _, outcomes, _ in measured for o in outcomes if o.post_state is not None]
+    floors = iter(spectra(2 ** (rho.qubits - 2), solved)[:, 0].tolist() if solved else [])
+    certs = []
+    for pair, outcomes, err in measured:
+        reason = None
+        for o in outcomes:
+            if o.post_state is not None and (lo := next(floors)) < -TOL.psd:
+                reason = f"conditional state for {o.label} not PSD (min eig {lo:.3e})"
+        weights = {o.label: o.probability for o in outcomes}
+        if abs(sum(weights.values()) - 1.0) > TOL.probability:
+            reason = reason or f"weights sum to {sum(weights.values())!r}"
+        if err > TOL.certificate:
+            reason = reason or f"reconstruction error {err:.3e}"
+        factors = {o.label: o.post_state for o in outcomes}
+        certs.append(SeparabilityCertificate(pair, weights, factors, err, reason is None, reason))
+    return certs
+
+
+def certify_two_vs_rest_separable(rho: DensityMatrix, pair: tuple[int, int]) -> SeparabilityCertificate:
+    """Separability witness for one pair-vs-rest cut; the one-pair case of `certify_pairs`."""
+    return certify_pairs(rho, [pair])[0]
 
 
 def check_permutation_invariance(rho: DensityMatrix) -> tuple[bool, float]:
@@ -259,8 +284,9 @@ def check_family(n: int) -> tuple[dict[StateClass, DensityMatrix], list[Check]]:
         Check("completeness", "all", err < TOL.equality, {"max_error": err}),
         Check("mutual-orthogonality", "all", overlap < TOL.equality, {"max_error": overlap}),
     ]
+    recursive = recursive_family(n)
     for cls in STATE_CLASSES:
-        rec = projector_recursive(cls, n)
+        rec = recursive[cls]
         pau = pauli_relate(direct[RHO_PLUS], cls)
         d = {
             "direct_vs_recursive": _distance(direct[cls], rec),
@@ -347,7 +373,7 @@ def gather_evidence(rho: DensityMatrix, ppt: float = TOL.ppt) -> StateEvidence:
     timings["permutation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    certs = tuple(certify_two_vs_rest_separable(rho, pair) for pair in certificate_pairs(n))
+    certs = tuple(certify_pairs(rho, certificate_pairs(n)))
     timings["certificates"] = time.perf_counter() - t0
 
     npt_sides = {frozenset(side) for v in verdicts if not v.ppt for side in (v.cut.left, v.cut.right)}

@@ -172,6 +172,7 @@ def _check_args(args: argparse.Namespace) -> None:
         text, args.keep = args.keep, _parse_pair(args.keep)
         if args.keep[0] == args.keep[1] or not set(args.keep) <= set(range(1, n + 1)):
             raise ConfigError(f"--keep must be two distinct qubits of 1..{n}; got {text!r}")
+        args.keep = tuple(sorted(args.keep))
     if not (math.isfinite(args.tol_ppt) and args.tol_ppt > 0):
         raise ConfigError("--tol-ppt must be finite and positive")
     if args.json and args.dump and _same_file(args.json, args.dump):

@@ -111,9 +111,10 @@ def projector_direct(cls: StateClass, n: int) -> DensityMatrix:
     return _mixture(tuple(float(c == cls) for c in STATE_CLASSES), n)
 
 
-def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
-    """Bell-correlated recursion: 1/4 sum_b [Bell_b]_(1,2) (x) state(cls^b, n-2),
-    built up from the Bell projectors at n = 2, each class once per level.
+def recursive_family(n: int) -> dict[StateClass, DensityMatrix]:
+    """The four class states by the Bell-correlated recursion, in one pass:
+    1/4 sum_b [Bell_b]_(1,2) (x) state(cls^b, n-2), built up from the Bell
+    projectors at n = 2, each class once per level.
 
     A level sums Kronecker products of entries (a Bell projector has four) in
     label order, then divides by 4, as a dense `m += kron(...)` per term would.
@@ -122,7 +123,7 @@ def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
     level = {c: DensityMatrix(2, bell_projector(c.label)).entries() for c in STATE_CLASSES}
     for k in range(4, n + 1, 2):
         below, level, dim = level, {}, 2 ** (k - 2)
-        for c in STATE_CLASSES if k < n else (cls,):
+        for c in STATE_CLASSES:
             terms = []
             for b in BELL_LABELS:
                 proj = bell_projector(b)
@@ -131,7 +132,12 @@ def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
                 terms.append((i[:, None] * dim + r, j[:, None] * dim + s, proj[i, j][:, None] * v))
             rows, cols, vals = add_entries(4 * dim, terms)
             level[c] = (rows, cols, vals / 4.0)
-    return DensityMatrix(n, level[cls])
+    return {c: DensityMatrix(n, level[c]) for c in STATE_CLASSES}
+
+
+def projector_recursive(cls: StateClass, n: int) -> DensityMatrix:
+    """One class state of `recursive_family`."""
+    return recursive_family(n)[cls]
 
 
 def pauli_relate(base: DensityMatrix, target: StateClass) -> DensityMatrix:

@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcabe import linalg
 from bcabe.analyze import (
@@ -11,6 +13,7 @@ from bcabe.analyze import (
     _overlap,
     bell_diagonal_entangled,
     certificate_pairs,
+    certify_pairs,
     certify_two_vs_rest_separable,
     check_family,
     check_permutation_invariance,
@@ -24,6 +27,7 @@ from bcabe.construct import (
     NoisyWeights,
     RHO_PLUS,
     STATE_CLASSES,
+    StateClass,
     bell_diagonal,
     noisy_state,
     projector_direct,
@@ -190,6 +194,91 @@ class TestSeparabilityCertificate:
         dm = noisy_state(w, 4)
         for pair in ((1, 2), (1, 3), (2, 4), (3, 4)):
             assert certify_two_vs_rest_separable(dm, pair).ok
+
+
+def _certificate_bits(cert) -> tuple:
+    """Everything a certificate holds, as bytes where it holds numbers."""
+    floats = lambda xs: np.array(list(xs), dtype=float).tobytes()
+    factors = tuple(
+        None if tau is None else tuple(a.tobytes() for a in tau.entries()) for tau in cert.factors.values()
+    )
+    return (cert.pair, cert.ok, cert.reason, floats([cert.reconstruction_error]),
+            tuple(cert.weights), floats(cert.weights.values()), tuple(cert.factors), factors)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A state at n = 4..6 and a list of pairs, in any order, to certify on it.
+
+    The states are random density matrices, random unit-trace Hermitian
+    matrices (not PSD), class states (n = 4, 6) with one entry and its mirror perturbed,
+    and Bell projector (x) random state, whose pair (1, 2) has three
+    zero-probability outcomes."""
+    kind = draw(st.sampled_from(["psd", "hermitian", "perturbed", "dead-outcome"]))
+    n = draw(st.sampled_from([4, 6]) if kind == "perturbed" else st.integers(min_value=4, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dim = 2**n
+    if kind == "psd":
+        m = random_density_matrix(rng, n).matrix
+    elif kind == "hermitian":
+        m = random_hermitian(rng, dim)
+        m += (1.0 - np.trace(m).real) / dim * np.eye(dim)
+    elif kind == "perturbed":
+        m = projector_direct(draw(st.sampled_from(STATE_CLASSES)), n).matrix.copy()
+        r, c = (int(x) for x in rng.integers(dim, size=2))
+        delta = draw(st.sampled_from([1e-13, 1e-6, 0.1])) * (1.0 if r == c else np.exp(2j * np.pi * rng.random()))
+        m[r, c] += delta
+        if r != c:
+            m[c, r] += np.conj(delta)
+    else:
+        label = draw(st.sampled_from(BELL_LABELS))
+        m = tensor(bell_projector(label), random_density_matrix(rng, n - 2).matrix)
+    qubit = st.integers(min_value=1, max_value=n)
+    pairs = draw(st.lists(st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1]), min_size=1, max_size=6))
+    return DensityMatrix(n, m), ([(2, 1)] if kind == "dead-outcome" else []) + pairs
+
+
+class TestCertifyPairs:
+    @settings(deadline=None, max_examples=60)
+    @given(certificate_inputs())
+    def test_stacked_solve_matches_one_pair_at_a_time(self, arg):
+        rho, pairs = arg
+        stacked = certify_pairs(rho, pairs)
+        assert [_certificate_bits(c) for c in stacked] == [
+            _certificate_bits(certify_two_vs_rest_separable(rho, pair)) for pair in pairs
+        ]
+
+    def test_dead_outcomes_have_no_factor(self):
+        rho = DensityMatrix(4, tensor(bell_projector(BELL_LABELS[1]), np.eye(4) / 4))
+        (cert,) = certify_pairs(rho, [(1, 2)])
+        assert cert.ok
+        assert [tau is None for tau in cert.factors.values()] == [True, False, True, True]
+
+    def test_bad_pair_raises(self, class_states):
+        from bcabe.protocol import ProtocolError
+
+        for pair in ((1, 1), (0, 2), (3, 7)):
+            with pytest.raises(ProtocolError):
+                certify_pairs(class_states[(RHO_PLUS, 6)], [(1, 2), pair])
+
+    def test_certificate_stage_peaks_below_the_cut_scan(self, monkeypatch):
+        # the pairs' factor states are solved as one stack, but each pair's Bell
+        # measurement and residual are formed and dropped in turn; holding all
+        # three pairs' residuals at once peaks at about 2.3 MiB
+        monkeypatch.setenv("BCABE_MAX_N", "10")
+        rho = projector_direct(RHO_PLUS, 10)
+        pairs = certificate_pairs(10)
+        stages = (lambda: scan_all_cuts(rho), lambda: certify_pairs(rho, pairs))
+        peaks = []
+        for stage in stages:
+            stage()  # the state's entries and validation, and the sweep orders, are cached
+            tracemalloc.start()
+            try:
+                stage()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0]
 
 
 def _einsum_reconstruction_error(rho: DensityMatrix, cert) -> float:

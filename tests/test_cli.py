@@ -409,6 +409,16 @@ class TestConfigErrors:
         assert run([command, "--class", "rho+", "--n", "4", "--keep", keep]) == 2
         assert capsys.readouterr().err == f"error: --keep must be two distinct qubits of 1..4; got '{keep}'\n"
 
+    @pytest.mark.parametrize("command", ["unlock", "discriminate"])
+    def test_reversed_keep_reports_as_ascending(self, command, tmp_path, capsys):
+        reports = []
+        for keep in ("2,1", "1,2"):
+            path = tmp_path / f"{keep}.json"
+            assert run([command, "--noisy", "1,0,0,0", "--n", "4", "--keep", keep, "--json", str(path)]) == 0
+            reports.append((path.read_bytes(), capsys.readouterr()))
+        assert json.loads(reports[0][0])["keep"] == [1, 2]
+        assert reports[0] == reports[1]
+
     def test_dense_view_over_budget_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("BCABE_MAX_N", "16")
         # report, unlock and discriminate run on entries at n = 16; the dump still needs the dense matrix

@@ -16,6 +16,7 @@ from bcabe.construct import (
     pauli_relate,
     projector_direct,
     projector_recursive,
+    recursive_family,
 )
 from bcabe import construct, linalg
 from bcabe.linalg import PAULIS, DensityMatrix, frobenius_distance, tensor
@@ -321,6 +322,16 @@ class TestEntriesMatchDenseOracles:
     def test_recursion(self, n):
         for cls in STATE_CLASSES:
             assert _same_entries(projector_recursive(cls, n), _dense_recursion(cls, n)), cls
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_recursive_family(self, n, monkeypatch):
+        monkeypatch.setenv("BCABE_MAX_N", "10")
+        family = recursive_family(n)
+        assert list(family) == list(STATE_CLASSES)
+        for cls, state in family.items():
+            assert _same_entries(state, _dense_recursion(cls, n)), cls
+            one = projector_recursive(cls, n).entries()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(state.entries(), one)), cls
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_pauli_conjugation_of_rho_plus(self, n):
