@@ -10,6 +10,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json as _json
@@ -31,14 +32,14 @@ from .construct import (
     noisy_state,
     projector_direct,
 )
-from .linalg import DensityMatrix, dump_matrix, format_float
+from .linalg import DensityMatrix, check_dense_budget, dump_matrix, format_float
 
 gc.freeze()  # the modules above live as long as the process: full collections skip them
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_POINTS = 10001  # noisy-scan grid: w in steps of 1e-4
-DUMP_MATRIX = "dump_matrix"  # report key carrying construct's matrix to main
+DUMP_STATE = "dump_state"  # report key carrying construct's state to main
 TIMINGS = "timings"  # report key carrying a command's stage times to main
 
 
@@ -189,8 +190,8 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> tuple[dict, bool]:
+    check_dense_budget(args.n)  # the dump has 4**n lines: refused before the state is built
     state = _state(args)
-    matrix = state.matrix  # refused over the dense budget, before any output
     state.validate()
     eigs = state.eigenvalues()
     rank = int((eigs > 1e-8).sum())
@@ -203,8 +204,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict, bool]:
         "max_eigenvalue": float(eigs[-1]),
         "dump": args.dump or "stdout",
         "checks": ["trace-normalization", "rank"],
-        # dumped by main once the JSON report is out, then dropped from it
-        DUMP_MATRIX: matrix,
+        DUMP_STATE: state,  # dumped by main once the JSON report is out, then dropped from it
     }
     return report, True
 
@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         body, ok = COMMANDS[args.command](args)
         timings = body.pop(TIMINGS, None) or {"total": time.perf_counter() - t0}
-        matrix = body.pop(DUMP_MATRIX, None)
+        state = body.pop(DUMP_STATE, None)
         # every report opens with its command and closes with the thresholds in use
         report = {"command": args.command, **body, "tolerances": {**TOL.as_dict(), "ppt": args.tol_ppt}}
         if args.timings:
@@ -438,14 +438,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             with open(args.json, "w") as fh:
                 fh.write(payload)
-        if matrix is not None and args.dump:
-            with open(args.dump, "w") as fh:
-                fh.writelines(dump_matrix(matrix))
-        text = render_text(report)
-        if matrix is not None and not args.dump:
-            sys.stdout.writelines(dump_matrix(matrix))
+        if state is not None:
+            with open(args.dump, "w") if args.dump else contextlib.nullcontext(sys.stdout) as fh:
+                fh.writelines(dump_matrix(state.dim, *state.entries()))
         stream = sys.stderr if args.command == "construct" and not args.dump else sys.stdout
-        stream.write(text)
+        stream.write(render_text(report))
         sys.stdout.flush()
     except (ValueError, OSError, MemoryError) as exc:
         # the interpreter flushes both streams again at exit; that must not fail a second time

@@ -158,13 +158,17 @@ class DensityMatrix:
         return spectra(self.dim, [self.entries()])[0]
 
 
-def _dense_zeros(n: int) -> np.ndarray:
-    """A zero 2**n x 2**n complex array, refused above DENSE_BUDGET before
-    anything is allocated."""
+def check_dense_budget(n: int) -> None:
+    """Refuse a 2**n x 2**n complex array, or its dump, above DENSE_BUDGET; allocates nothing."""
     nbytes = 16 * 4**n
     if nbytes > DENSE_BUDGET:
         raise LinalgError(f"a dense {n}-qubit matrix needs {nbytes / 2**30:g} GiB, "
                           f"over the {DENSE_BUDGET / 2**30:g} GiB budget")
+
+
+def _dense_zeros(n: int) -> np.ndarray:
+    """A zero 2**n x 2**n complex array, refused above DENSE_BUDGET before anything is allocated."""
+    check_dense_budget(n)
     return np.zeros((2**n, 2**n), dtype=complex)
 
 
@@ -518,16 +522,15 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dump_matrix(mat: np.ndarray) -> Iterator[str]:
-    """The dump of a square matrix in chunks: the header line, then one chunk per row.
-    Only nonzero values are formatted; a zero's line is "i j 0 0"."""
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {m.shape}")
-    yield f"dim={m.shape[0]}\n"
-    zeros = [f"{j} 0 0" for j in range(m.shape[0])]
-    for i, row in enumerate(m):
-        tails, at = zeros.copy(), np.flatnonzero(row)
-        for j, v in zip(at.tolist(), row[at].tolist()):
+def dump_matrix(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Iterator[str]:
+    """The dump of the dim x dim matrix whose nonzeros are given row-major, in
+    chunks: the header line, then one chunk per row. Only the given values are
+    formatted; every other position's line is "i j 0 0"."""
+    yield f"dim={dim}\n"
+    zeros = [f"{j} 0 0" for j in range(dim)]
+    bounds, cols, vals = np.searchsorted(rows, np.arange(dim + 1)).tolist(), cols.tolist(), vals.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        tails = zeros.copy()
+        for j, v in zip(cols[lo:hi], vals[lo:hi]):
             tails[j] = f"{j} {format_float(v.real)} {format_float(v.imag)}"
         yield f"{i} " + f"\n{i} ".join(tails) + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcabe import linalg
+from bcabe import analyze, linalg
 from bcabe.analyze import (
+    AnalyzeError,
     _completeness_error,
     _distance,
     _overlap,
@@ -538,6 +540,41 @@ class TestClassifyAbe:
         report = classify_abe(DensityMatrix(4, np.eye(16) / 16))
         assert not report.has_npt_cut
         assert not report.activable
+
+    @pytest.mark.parametrize("fault", ["permutation_invariant", "certified", "branches_entangled"])
+    def test_one_failed_conjunct_is_not_activable(self, fault, class_states, monkeypatch):
+        if fault == "permutation_invariant":
+            monkeypatch.setattr(analyze, "check_permutation_invariance", lambda rho: (False, 1.0))
+        elif fault == "certified":  # the last pair's certificate fails
+            real_certify = analyze.certify_pairs
+            def certify(rho, pairs):
+                *good, last = real_certify(rho, pairs)
+                return [*good, dataclasses.replace(last, ok=False)]
+            monkeypatch.setattr(analyze, "certify_pairs", certify)
+        else:  # the first of the four distinct branch states reads PPT, the other three NPT
+            real_is_ppt, calls = analyze.is_ppt, []
+            def is_ppt(state, cut, ppt):
+                calls.append(state)
+                return dataclasses.replace(real_is_ppt(state, cut, ppt), ppt=len(calls) == 1)
+            monkeypatch.setattr(analyze, "is_ppt", is_ppt)
+        report = classify_abe(class_states[(RHO_PLUS, 4)])
+        conjuncts = {
+            "npt_cut": report.has_npt_cut,
+            "two_vs_rest_ppt": report.two_vs_rest_ppt,
+            "permutation_invariant": report.permutation_invariant,
+            "certified": report.two_vs_rest_separable_certified,
+            "branches_entangled": report.activation.all_branches_entangled,
+        }
+        assert [name for name, holds in conjuncts.items() if not holds] == [fault]
+        assert not report.activable
+
+    def test_certificate_on_a_pair_cut_reported_npt_raises(self, class_states, monkeypatch):
+        real_scan = analyze.scan_all_cuts
+        def scan(rho, ppt):
+            return [dataclasses.replace(v, ppt=False) if v.cut.left == (1, 2) else v for v in real_scan(rho, ppt)]
+        monkeypatch.setattr(analyze, "scan_all_cuts", scan)
+        with pytest.raises(AnalyzeError, match=r"certificate for pair \(1, 2\) contradicts NPT verdict"):
+            gather_evidence(class_states[(RHO_PLUS, 4)])
 
     def test_timings_recorded(self, class_states):
         report = classify_abe(class_states[(RHO_PLUS, 4)])

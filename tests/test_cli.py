@@ -2,20 +2,23 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import render_oracle
-from bcabe import cli
+from bcabe import analyze, cli, linalg
 from bcabe.analyze import classify_abe
 from bcabe.cli import main, render_json
-from bcabe.construct import STATE_CLASSES, projector_direct
+from bcabe.construct import RHO_MINUS, RHO_PLUS, STATE_CLASSES, NoisyWeights, noisy_state, projector_direct
 from conftest import read_dump
 
 
@@ -91,6 +94,30 @@ class TestVerify:
         monkeypatch.setitem(cli.COMMANDS, "verify", lambda args: ({"passed": False}, False))
         assert run(["verify", "--n", "4"]) == 1
 
+    def _failed_checks(self, tmp_path):
+        path = tmp_path / "verify.json"
+        assert run(["verify", "--n", "4", "--json", str(path)]) == 1
+        return json.loads(path.read_text())["failed_checks"]
+
+    def test_perturbed_recursion_fails_only_the_triangle(self, monkeypatch, tmp_path, capsys):
+        real_family = analyze.recursive_family
+        def swapped(n):  # the recursion hands back rho+ and rho- exchanged
+            family = dict(real_family(n))
+            family[RHO_PLUS], family[RHO_MINUS] = family[RHO_MINUS], family[RHO_PLUS]
+            return family
+        monkeypatch.setattr(analyze, "recursive_family", swapped)
+        assert self._failed_checks(tmp_path) == ["construction-triangle[rho+]", "construction-triangle[rho-]"]
+
+    def test_overlapping_classes_fail_orthogonality(self, monkeypatch, tmp_path, capsys):
+        # rho+ and rho- both read as their even mixture: the four still sum to the identity, but two overlap
+        real_direct = analyze.projector_direct
+        def direct(cls, n):
+            mixed = cls in (RHO_PLUS, RHO_MINUS)
+            return noisy_state(NoisyWeights(0.5, 0.5, 0, 0), n) if mixed else real_direct(cls, n)
+        monkeypatch.setattr(analyze, "projector_direct", direct)
+        failed = self._failed_checks(tmp_path)
+        assert "mutual-orthogonality[all]" in failed and "completeness[all]" not in failed
+
 
 class TestUnlock:
     def test_class_state_perfect_branches(self, tmp_path, capsys):
@@ -140,6 +167,15 @@ class TestUnlock:
         data = json.loads(report.read_text())
         assert data["pairing"] == [[3, 6], [4, 5]]
         assert data["aggregate"]["min_fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_every_branch_at_twelve_qubits_is_live(self, monkeypatch, tmp_path, capsys):
+        # 1,024 branches of probability 4**-5, under 1e-3 but far above TOL.zero_probability
+        monkeypatch.setenv("BCABE_MAX_N", "12")
+        path = tmp_path / "unlock12.json"
+        assert run(["unlock", "--class", "rho+", "--n", "12", "--keep", "1,3", "--json", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert data["aggregate"]["branch_count"] == len(data["branches"]) == 4**5
+        assert all(b["probability"] == pytest.approx(4.0**-5) and b["best_label"] for b in data["branches"])
 
 
 class TestDiscriminate:
@@ -421,11 +457,19 @@ class TestConfigErrors:
 
     def test_dense_view_over_budget_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("BCABE_MAX_N", "16")
-        # report, unlock and discriminate run on entries at n = 16; the dump still needs the dense matrix
+        # every command runs on entries at n = 16; the dump's 4**n lines stay under the dense budget
         assert run(["construct", "--class", "rho+", "--n", "16"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: a dense 16-qubit matrix needs 64 GiB, over the 1 GiB budget\n"
+
+    def test_budget_refuses_before_the_state_is_built(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("BCABE_MAX_N", "64")
+        monkeypatch.chdir(tmp_path)
+        assert run(["construct", "--class", "rho+", "--n", "64", "--dump", "d.txt", "--json", "c.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: a dense 64-qubit matrix needs \S+ GiB, over the 1 GiB budget\n", err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_tol(self, capsys):
         assert run(["verify", "--n", "4", "--tol-ppt", "-1"]) == 2
@@ -487,6 +531,25 @@ class TestOneChecklist:
             )
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
+class TestReadmeExamples:
+    def test_every_example_is_one_command_that_passes(self, tmp_path, monkeypatch, capsys):
+        """Each `bcabe ...` line of the README's sh blocks, split as a POSIX shell
+        splits it, is one command, and it exits 0."""
+        blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("bcabe ")]
+        assert len(lines) >= 8
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            words = list(lexer)
+            assert not [w for w in words if set(w) <= set(lexer.punctuation_chars)], line
+            assert main(words[1:]) == 0, line
+
+
 GOLDEN_CLI = Path(__file__).parent / "goldens" / "cli"
 
 
@@ -530,6 +593,11 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_output_matches_golden(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        real_zeros = linalg._dense_zeros
+        def small_only(n):  # no command densifies a state above two qubits
+            assert n <= 2, f"a dense {n}-qubit array"
+            return real_zeros(n)
+        monkeypatch.setattr(linalg, "_dense_zeros", small_only)
         for key, value in self.ENV.get(name, {}).items():
             monkeypatch.setenv(key, value)
         assert run(self.CASES[name] + ["--json", f"{name}.json"]) == self.EXIT.get(name, 0)
@@ -640,6 +708,8 @@ def _argv(command):
 
 
 ARGV = st.sampled_from(sorted(cli.COMMANDS)).flatmap(_argv)
+# BCABE_MAX_N unset, valid, below the drawn --n, below its own floor of 2, or not an integer
+MAX_N = st.sampled_from([None, "4", "6", "10", "3", "1", "x", ""])
 
 
 def _reject_constant(name):
@@ -660,15 +730,21 @@ def _call(argv, json_path):
 
 class TestArgvFuzz:
     """Many main() calls in one process share the cached parser: each drawn
-    call ends cleanly, and what ran before it does not change its bytes."""
+    call, under a drawn BCABE_MAX_N, ends cleanly, and what ran before it does
+    not change its bytes."""
 
     @settings(deadline=None, max_examples=120)
-    @given(argv=ARGV)
-    @example(argv=["report", "--class", "rho+", "--n", "4", "--timings"])
-    @example(argv=["unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6", "--keep", "3,6", "--pairing", "1,2;4,5"])
-    def test_drawn_argv_ends_cleanly_and_repeats(self, argv):
+    @given(argv=ARGV, max_n=MAX_N)
+    @example(argv=["report", "--class", "rho+", "--n", "4", "--timings"], max_n=None)
+    @example(argv=["unlock", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6", "--keep", "3,6", "--pairing", "1,2;4,5"],
+             max_n="6")
+    @example(argv=["construct", "--class", "rho+", "--n", "4"], max_n="x")
+    def test_drawn_argv_ends_cleanly_and_repeats(self, argv, max_n):
         assert cli.build_parser() is cli.build_parser()
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop("BCABE_MAX_N", None)
+            if max_n is not None:
+                os.environ["BCABE_MAX_N"] = max_n
             path = Path(tmp) / "report.json"
             first = _call(argv, path)
             code, _, err, payload = first

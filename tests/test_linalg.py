@@ -598,7 +598,7 @@ class TestDumpFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(20)
         dm = random_density_matrix(rng, 2)
-        text = "".join(dump_matrix(dm.matrix))
+        text = "".join(dump_matrix(dm.dim, *dm.entries()))
         lines = text.splitlines()
         assert lines[0] == "dim=4"
         assert len(lines) == 1 + 16
@@ -607,21 +607,21 @@ class TestDumpFormat:
 
     def test_negative_zero_normalized(self):
         m = np.array([[-0.0 + 0.0j]])
-        assert "-0" not in "".join(dump_matrix(np.kron(m, np.eye(1))))
+        assert "-0" not in "".join(dump_matrix(*linalg._entries(np.kron(m, np.eye(1)))))
 
     def test_17_digit_round_trip(self):
         val = 1 / 3 + 1e-16
         m = np.array([[val]], dtype=complex)
-        assert read_dump("".join(dump_matrix(m)))[0, 0].real == val
+        assert read_dump("".join(dump_matrix(*linalg._entries(m))))[0, 0].real == val
 
     def test_matches_formatting_every_entry(self):
         m = random_sparse_hermitian(np.random.default_rng(21), 3, 0.3)
         m[0, 1], m[2, 2], m[3, 3], m[4, 5] = complex(-0.0, 2.5), complex(1.5, -0.0), complex(-0.0, -0.0), np.nan
         expect = "".join(f"{i} {j} {format_float(v.real)} {format_float(v.imag)}\n" for (i, j), v in np.ndenumerate(m))
-        assert "".join(dump_matrix(m)) == "dim=8\n" + expect
+        assert "".join(dump_matrix(*linalg._entries(m))) == "dim=8\n" + expect
 
     def test_one_chunk_per_row(self):
-        chunks = list(dump_matrix(np.arange(9, dtype=complex).reshape(3, 3)))
+        chunks = list(dump_matrix(*linalg._entries(np.arange(9, dtype=complex).reshape(3, 3))))
         assert chunks[0] == "dim=3\n" and len(chunks) == 4
         assert chunks[2] == "1 0 3 0\n1 1 4 0\n1 2 5 0\n"
 

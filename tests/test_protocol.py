@@ -174,6 +174,14 @@ class TestBellMeasure:
             outcomes = bell_measure(dm, (2, 3))
             assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rare_outcome_keeps_its_state(self):
+        # Psi- at probability 1e-5, far above TOL.zero_probability, is a live outcome with a state
+        eps, tau = 1e-5, bell_projector(PHI_PLUS)
+        dm = DensityMatrix(4, tensor((1 - eps) * tau + eps * bell_projector(PSI_MINUS), tau))
+        rare = bell_measure(dm, (1, 2))[3]
+        assert rare.label == PSI_MINUS and rare.probability == pytest.approx(eps)
+        assert frobenius_distance(rare.post_state.matrix, tau) < 1e-12
+
     def test_bad_pairs(self):
         rng = np.random.default_rng(32)
         dm = random_density_matrix(rng, 3)
@@ -194,6 +202,13 @@ class TestUnlockSequential:
             assert b.best_label == b.labels[0]  # rho+ carries the identity label
         assert result.min_fidelity > 1 - 1e-10
         assert result.xor_rule_holds
+
+    def test_xor_rule_fails_when_the_kept_pair_ignores_the_outcomes(self):
+        # Phi+ on the kept pair and I/16 on the rest: every branch leaves Phi+, whatever was measured
+        dm = DensityMatrix(6, tensor(bell_projector(PHI_PLUS), np.eye(16) / 16))
+        result = unlock_sequential(dm, (1, 2))
+        assert [(b.probability, b.best_label) for b in result.branches] == [(pytest.approx(1 / 16), PHI_PLUS)] * 16
+        assert not result.xor_rule_holds
 
     def test_six_qubit_branch_states(self, class_states):
         result = unlock_sequential(class_states[(RHO_PLUS, 6)], (1, 2))
