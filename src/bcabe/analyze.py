@@ -40,6 +40,7 @@ from .linalg import (
     norm_of,
     pt_spectra,
     spectra,
+    stacked_pt_spectra,
     split_index,
     swap_qubits,
     values_at,
@@ -59,17 +60,22 @@ class CutVerdict:
     negativity: float
 
 
-def _cut_verdicts(rho: DensityMatrix, cuts: Sequence[Bipartition], ppt: float) -> list[CutVerdict]:
-    """PPT tests with eigenvalue evidence for the cuts, from one stacked solve."""
-    if not rho.validated():
-        rho.validate()
+def _verdicts(cuts: Sequence[Bipartition], solved: tuple[np.ndarray, np.ndarray], ppt: float) -> list[CutVerdict]:
+    """A PPT verdict with eigenvalue evidence per cut, from its row of `pt_spectra`'s output."""
     verdicts = []
-    for cut, eigs, one_norm in zip(cuts, *pt_spectra(rho, cuts)):
+    for cut, eigs, one_norm in zip(cuts, *solved):
         threshold = ppt * max(1.0, float(one_norm))
         min_eig = float(eigs[0])
         negativity = float(-eigs[eigs < 0].sum()) + 0.0
         verdicts.append(CutVerdict(cut, min_eig, min_eig >= -threshold, negativity))
     return verdicts
+
+
+def _cut_verdicts(rho: DensityMatrix, cuts: Sequence[Bipartition], ppt: float) -> list[CutVerdict]:
+    """PPT tests with eigenvalue evidence for the cuts, from one stacked solve."""
+    if not rho.validated():
+        rho.validate()
+    return _verdicts(cuts, pt_spectra(rho, cuts), ppt)
 
 
 def is_ppt(rho: DensityMatrix, cut: Bipartition, ppt: float = TOL.ppt) -> CutVerdict:
@@ -114,15 +120,16 @@ class SeparabilityCertificate:
     reason: str | None = None
 
 
-def _reconstruction_error(
-    rho: DensityMatrix, pair: tuple[int, int], outcomes: list[protocol.MeasurementOutcome]
-) -> float:
-    """Frobenius norm of sum_b p_b [Bell_b]_pair (x) tau_b - rho over the pair's
-    live outcomes, in split_index's (pair, rest) layout: each term on the (a, b)
-    blocks of its Bell projector, in label order, then the state subtracted."""
+def _measure(rho: DensityMatrix, pair: tuple[int, int]) -> tuple[list[protocol.MeasurementOutcome], float]:
+    """The pair's Bell outcomes and the Frobenius norm of sum_b p_b [Bell_b]_pair
+    (x) tau_b - rho over its live outcomes, both from one `split_index` of the
+    state's rows and columns. The residual is summed in split_index's (pair,
+    rest) layout: each term on the (a, b) blocks of its Bell projector, in
+    label order, then the state subtracted."""
     n, rest = rho.qubits, 2 ** (rho.qubits - 2)
     rows, cols, vals = rho.entries()
-    (a, r), (b, s) = split_index(rows, n, pair), split_index(cols, n, pair)
+    (a, r), (b, s) = split = split_index(rows, n, pair), split_index(cols, n, pair)
+    outcomes = protocol.bell_measure(rho, pair, split)
     parts = []
     for o in outcomes:
         if o.post_state is not None:
@@ -131,7 +138,7 @@ def _reconstruction_error(
             for i, j in zip(*np.nonzero(proj)):
                 parts.append((i * rest + t_rows, j * rest + t_cols, o.probability * (proj[i, j] * t_vals)))
     parts.append((a * rest + r, b * rest + s, -vals))
-    return norm_of(add_entries(4 * rest, parts)[2])
+    return outcomes, norm_of(add_entries(4 * rest, parts)[2])
 
 
 def certify_pairs(rho: DensityMatrix, pairs: Iterable[tuple[int, int]]) -> list[SeparabilityCertificate]:
@@ -146,9 +153,8 @@ def certify_pairs(rho: DensityMatrix, pairs: Iterable[tuple[int, int]]) -> list[
     """
     measured = []
     for pair in pairs:
-        pair = (min(pair), max(pair))
-        outcomes = protocol.bell_measure(rho, pair)
-        measured.append((pair, outcomes, _reconstruction_error(rho, pair, outcomes)))
+        pair = protocol.normalize_pair(pair, rho.qubits)
+        measured.append((pair, *_measure(rho, pair)))
     solved = [o.post_state.entries() for _, outcomes, _ in measured for o in outcomes if o.post_state is not None]
     floors = iter(spectra(2 ** (rho.qubits - 2), solved)[:, 0].tolist() if solved else [])
     certs = []
@@ -202,6 +208,15 @@ class BellDiagonalVerdict:
 
 
 _PAIR_CUT = Bipartition.of((1,), 2)
+
+
+def _pair_cut_verdicts(states: Sequence[DensityMatrix], ppt: float) -> list[CutVerdict]:
+    """`is_ppt` at the 1|2 cut of each 2-qubit state, from one stacked solve;
+    each verdict has the bits of its state's `is_ppt`."""
+    for state in states:
+        if not state.validated():
+            state.validate()
+    return _verdicts([_PAIR_CUT] * len(states), stacked_pt_spectra(states, _PAIR_CUT), ppt)
 
 
 def bell_diagonal_entangled(weights: NoisyWeights, ppt: float = TOL.ppt) -> BellDiagonalVerdict:
@@ -402,15 +417,11 @@ def classify_abe(rho: DensityMatrix, ppt: float = TOL.ppt) -> AbeReport:
 
     t0 = time.perf_counter()
     unlock = protocol.unlock_sequential(rho, (1, 2))
-    verdicts: dict[bytes, bool] = {}  # by entries: the paper's states leave four distinct branch states
-
-    def entangled(state: DensityMatrix) -> bool:
-        key = b"".join(a.tobytes() for a in state.entries())
-        if key not in verdicts:
-            verdicts[key] = not is_ppt(state, _PAIR_CUT, ppt).ppt
-        return verdicts[key]
-
-    all_entangled = all(b.state is not None and entangled(b.state) for b in unlock.branches)
+    all_entangled = all(b.state is not None for b in unlock.branches)
+    if all_entangled:
+        # by entries: the paper's states leave four distinct branch states
+        distinct = {b"".join(a.tobytes() for a in b.state.entries()): b.state for b in unlock.branches}
+        all_entangled = not any(v.ppt for v in _pair_cut_verdicts(list(distinct.values()), ppt))
     activation = ActivationEvidence(
         unlock.keep, len(unlock.branches), unlock.min_fidelity, unlock.xor_rule_holds, all_entangled
     )

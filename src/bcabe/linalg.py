@@ -186,11 +186,17 @@ def add_entries(dim: int, terms: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.n
     (rows, cols, vals) arrays of one shape. Entries at one position are added
     from 0 in the order given: the bits of a dense `+=` per term."""
     rows, cols, vals = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*terms))
-    keys, at = np.unique(rows * dim + cols, return_inverse=True)
-    acc = np.zeros(keys.size, dtype=complex)
-    np.add.at(acc, at, vals)
+    # stable, so each position's entries keep the order given; the terms are
+    # row-major runs, which the stable sort merges in near-linear time
+    keys = rows * dim + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) > 0  # the first entry at each position
+    acc = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(acc, np.cumsum(first) - 1, vals[order])
     nz = acc != 0
-    return keys[nz] // dim, keys[nz] % dim, acc[nz]
+    keys = keys[first][nz]
+    return keys // dim, keys % dim, acc[nz]
 
 
 def norm_of(vals: np.ndarray) -> float:
@@ -209,9 +215,13 @@ def split_index(index, n: int, front: Sequence[int]):
     """Basis index (an int or an int array) split into the bits of the `front`
     qubits, in the given order, and the index of the remaining qubits, in
     ascending order."""
-    bit = lambda q: (index >> (n - q)) & 1
-    pack = lambda qs: sum((bit(q) << (len(qs) - 1 - i) for i, q in enumerate(qs)), index & 0)
-    return pack(list(front)), pack([q for q in range(1, n + 1) if q not in front])
+    head, rest = index & 0, index
+    for q in front:
+        head = (head << 1) | ((index >> (n - q)) & 1)
+    for q in sorted(front):  # the highest bit first, so the lower bits still to go stay put
+        low = (1 << (n - q)) - 1
+        rest = ((rest >> 1) & ~low) | (rest & low)
+    return head, rest
 
 
 def relabel_entries(rho: DensityMatrix, order: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,27 +253,50 @@ def pt_spectra(rho: DensityMatrix, cuts: Sequence[Bipartition]) -> tuple[np.ndar
     rows, cols, vals = _pt_entries(rho, cuts)
     shift = rho.dim * np.arange(len(cuts))[:, None]
     rows, cols = (rows + shift).ravel(), (cols + shift).ravel()
-    one_norms = np.bincount(cols, weights=np.abs(vals).ravel(), minlength=len(cuts) * rho.dim)
-    eigs = _jacobi(rho.dim, rows, cols, vals.ravel(), False, len(cuts), check=not rho.validated())[0]
-    return eigs, one_norms.reshape(-1, rho.dim).max(axis=1, initial=0.0)
+    return _pt_solve(rho.dim, len(cuts), rows, cols, vals.ravel(), rho.validated())
+
+
+def stacked_pt_spectra(states: Sequence[DensityMatrix], cut: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """`pt_spectra` of several states of one size at one cut, one row per state,
+    from one stacked solve; each row has the bits of its state solved alone."""
+    dim, parts = 2**cut.qubits, []
+    for g, state in enumerate(states):
+        (rows,), (cols,), (vals,) = _pt_entries(state, [cut])
+        parts.append((rows + g * dim, cols + g * dim, vals))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    return _pt_solve(dim, len(states), rows, cols, vals, all(s.validated() for s in states))
+
+
+def _pt_solve(
+    dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, validated: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and max column sums of `count` partial transposes given as the
+    entries of their direct sum, each matrix's in its state's row-major order.
+    The entries are sorted row-major only for the Hermiticity check, which
+    looks mirrors up by key; a state that passed `validate` skips both."""
+    one_norms = np.bincount(cols, weights=np.abs(vals), minlength=count * dim).reshape(count, dim)
+    if not validated:
+        order = np.argsort(rows * (count * dim) + cols)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    eigs = _jacobi(dim, rows, cols, vals, False, count, check=not validated)[0]
+    return eigs, one_norms.max(axis=1, initial=0.0)
 
 
 def _pt_entries(rho: DensityMatrix, cuts: Sequence[Bipartition]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of each cut's partial transpose, one row per cut, row-major.
+    """The nonzeros of each cut's partial transpose, one row per cut, in the
+    state's own row-major order (not the transpose's).
 
     Transposing the right group's qubits moves entry (r, c) to (r ^ s, c ^ s)
     with s = (r ^ c) & mask, so each transpose is the state's own nonzeros,
     moved in O(nnz); no 2**n x 2**n array is formed.
     """
-    n, dim = rho.qubits, rho.dim
+    n = rho.qubits
     for cut in cuts:
         if cut.qubits != n:
             raise LinalgError(f"cut over {cut.qubits} qubits applied to a {n}-qubit state")
     rows, cols, vals = rho.entries()
     s = (rows ^ cols) & np.array([sum(1 << (n - q) for q in cut.right) for cut in cuts], dtype=np.intp)[:, None]
-    rows, cols = rows ^ s, cols ^ s
-    order = np.argsort(rows * dim + cols, axis=1)  # each cut row-major, as a dense scan finds them
-    return np.take_along_axis(rows, order, axis=1), np.take_along_axis(cols, order, axis=1), vals[order]
+    return rows ^ s, cols ^ s, np.broadcast_to(vals, s.shape)
 
 
 def transpose_qubits(mat: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
@@ -356,9 +389,13 @@ def _blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
             break
         label = low
     size = np.bincount(label, minlength=dim)[label]
-    order = np.lexsort((label, size))  # stable: ascending within each component
-    sizes = np.flatnonzero(np.bincount(size))
-    return [order[size[order] == d].reshape(-1, d).T for d in sizes]
+    blocks = []
+    for d in np.flatnonzero(np.bincount(size)):
+        members = np.flatnonzero(size == d)
+        # by component, ascending within it: one key below dim**2 < 2**63
+        order = np.sort(label[members] * dim + members) % dim
+        blocks.append(order.reshape(-1, d).T)
+    return blocks
 
 
 @functools.cache
@@ -484,11 +521,12 @@ def _jacobi(
         eigs[ix] = a[diag, diag].real
         if vecs is not None:
             vecs[ix[:, None, :], ix[None, :, :] % dim] = v
+    if vecs is None:
+        return np.sort(eigs.reshape(count, dim), axis=1), None
+    # stable, so the vectors follow the values in a fixed order
     order = np.argsort(eigs.reshape(count, dim), axis=1, kind="stable")
     eigs = np.take_along_axis(eigs.reshape(count, dim), order, axis=1)
-    if vecs is not None:
-        vecs = np.take_along_axis(vecs.reshape(count, dim, dim), order[:, None, :], axis=2)
-    return eigs, vecs
+    return eigs, np.take_along_axis(vecs.reshape(count, dim, dim), order[:, None, :], axis=2)
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:

@@ -90,7 +90,8 @@ def bell_fidelity(rho2: DensityMatrix) -> tuple[BellLabel, float]:
     return BELL_LABELS[at], float(best)
 
 
-def _normalize_pair(pair, n) -> tuple[int, int]:
+def normalize_pair(pair, n) -> tuple[int, int]:
+    """The pair as (smaller, larger), refused unless two distinct qubits of 1..n."""
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise ProtocolError(f"pair qubits must be distinct, got {pair}")
@@ -99,9 +100,12 @@ def _normalize_pair(pair, n) -> tuple[int, int]:
     return (min(i, j), max(i, j))
 
 
-def _measure_pair(n: int, entries: tuple[np.ndarray, ...], front: Sequence[int]) -> tuple[np.ndarray, ...]:
+def _measure_pair(
+    n: int, entries: tuple[np.ndarray, ...], front: Sequence[int], split=None
+) -> tuple[np.ndarray, ...]:
     """Bell-measure the last two qubits of `front`, every outcome at once, on an
-    n-qubit operator's entries given row-major.
+    n-qubit operator's entries given row-major; `split` is `split_index` of
+    their rows and of their columns on `front`, when the caller has it.
 
     The result, row-major, has the `front` qubits first, in order, and the rest
     after, ascending. It is block diagonal in the measured pair, whose two
@@ -112,15 +116,21 @@ def _measure_pair(n: int, entries: tuple[np.ndarray, ...], front: Sequence[int])
     """
     rows, cols, vals = entries
     rest = 2 ** (n - len(front))
-    (f, r), (g, s) = split_index(rows, n, front), split_index(cols, n, front)
+    (f, r), (g, s) = split or (split_index(rows, n, front), split_index(cols, n, front))
     a, b = f % 4, g % 4
     stem_rows, stem_cols, pair_bits = (f - a) * rest + r, (g - b) * rest + s, 4 * a + b
-    terms = []
+    # the entries at pair bits (i, j), gathered for the first of the two labels
+    # that read them and dropped at the second, so no term is held twice
+    picked, terms = {}, []
     for k, label in enumerate(BELL_LABELS):
         v = bell_vector(label)
         for i, j in itertools.product(np.flatnonzero(v), repeat=2):
-            on = pair_bits == 4 * i + j
-            terms.append((stem_rows[on] + k * rest, stem_cols[on] + k * rest, (vals[on] * v[i].conj()) * v[j]))
+            if (i, j) in picked:
+                t_rows, t_cols, t_vals = picked.pop((i, j))
+            else:
+                on = pair_bits == 4 * i + j
+                t_rows, t_cols, t_vals = picked[i, j] = stem_rows[on], stem_cols[on], vals[on]
+            terms.append((t_rows + k * rest, t_cols + k * rest, (t_vals * v[i].conj()) * v[j]))
     return add_entries(2**n, terms)
 
 
@@ -135,19 +145,21 @@ def _diagonal_blocks(entries: tuple[np.ndarray, ...], count: int, size: int) -> 
     ]
 
 
-def _conditional_entries(rho: DensityMatrix, pair: tuple[int, int]) -> dict[BellLabel, tuple]:
+def _conditional_entries(rho: DensityMatrix, pair: tuple[int, int], split=None) -> dict[BellLabel, tuple]:
     """The unnormalized operator on the other qubits per Bell outcome of the pair, as entries."""
     n = rho.qubits
-    return dict(zip(BELL_LABELS, _diagonal_blocks(_measure_pair(n, rho.entries(), pair), 4, 2 ** (n - 2))))
+    return dict(zip(BELL_LABELS, _diagonal_blocks(_measure_pair(n, rho.entries(), pair, split), 4, 2 ** (n - 2))))
 
 
-def bell_measure(rho: DensityMatrix, pair: tuple[int, int]) -> list[MeasurementOutcome]:
+def bell_measure(rho: DensityMatrix, pair: tuple[int, int], split=None) -> list[MeasurementOutcome]:
     """Projective Bell measurement of one pair, on the state's entries; outcomes in
-    canonical label order, each probability with the bits np.trace gives."""
-    pair = _normalize_pair(pair, rho.qubits)
+    canonical label order, each probability with the bits np.trace gives. `split`
+    is `split_index` of the entries' rows and of their columns on the pair, when
+    the caller has it."""
+    pair = normalize_pair(pair, rho.qubits)
     rest = rho.qubits - 2
     outcomes = []
-    for label, (rows, cols, vals) in _conditional_entries(rho, pair).items():
+    for label, (rows, cols, vals) in _conditional_entries(rho, pair, split).items():
         p = float(trace_entries(2**rest, rows, cols, vals).real)
         post = DensityMatrix(rest, (rows, cols, vals / p)) if p > TOL.zero_probability else None
         outcomes.append(MeasurementOutcome(label, p, post))
@@ -174,11 +186,11 @@ def unlock_sequential(
     n = rho.qubits
     if n % 2 or n < 4:
         raise ProtocolError(f"need an even qubit count >= 4, got {n}")
-    keep = _normalize_pair(keep, n)
+    keep = normalize_pair(keep, n)
     if pairing is None:
         pairing = default_pairing(n, keep)
     else:
-        pairing = tuple(_normalize_pair(p, n) for p in pairing)
+        pairing = tuple(normalize_pair(p, n) for p in pairing)
     covered = sorted(q for p in pairing for q in p)
     expected = [q for q in range(1, n + 1) if q not in keep]
     if covered != expected:

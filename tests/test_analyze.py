@@ -552,11 +552,12 @@ class TestClassifyAbe:
                 return [*good, dataclasses.replace(last, ok=False)]
             monkeypatch.setattr(analyze, "certify_pairs", certify)
         else:  # the first of the four distinct branch states reads PPT, the other three NPT
-            real_is_ppt, calls = analyze.is_ppt, []
-            def is_ppt(state, cut, ppt):
-                calls.append(state)
-                return dataclasses.replace(real_is_ppt(state, cut, ppt), ppt=len(calls) == 1)
-            monkeypatch.setattr(analyze, "is_ppt", is_ppt)
+            real_verdicts = analyze._pair_cut_verdicts
+            def pair_cut_verdicts(states, ppt):
+                verdicts = real_verdicts(states, ppt)
+                assert len(verdicts) == 4
+                return [dataclasses.replace(v, ppt=k == 0) for k, v in enumerate(verdicts)]
+            monkeypatch.setattr(analyze, "_pair_cut_verdicts", pair_cut_verdicts)
         report = classify_abe(class_states[(RHO_PLUS, 4)])
         conjuncts = {
             "npt_cut": report.has_npt_cut,

@@ -169,7 +169,8 @@ class TestPtSpectrum:
         source = np.sort(linalg._hermitian_deviation(dim, *dm.entries()))
         cuts = [Bipartition.of(left, n) for r in range(1, n) for left in itertools.combinations(range(1, n + 1), r)]
         for cut, rows, cols, vals in zip(cuts, *linalg._pt_entries(dm, cuts)):
-            moved = np.sort(linalg._hermitian_deviation(dim, rows, cols, vals))
+            at = np.argsort(rows * dim + cols)  # the mirror lookup reads row-major keys
+            moved = np.sort(linalg._hermitian_deviation(dim, rows[at], cols[at], vals[at]))
             assert moved.tobytes() == source.tobytes(), str(cut)
 
     def test_hermiticity_checked_once_per_state(self, monkeypatch):
