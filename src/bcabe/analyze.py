@@ -40,7 +40,6 @@ from .linalg import (
     norm_of,
     pt_spectra,
     spectra,
-    stacked_pt_spectra,
     split_index,
     swap_qubits,
     values_at,
@@ -71,16 +70,17 @@ def _verdicts(cuts: Sequence[Bipartition], solved: tuple[np.ndarray, np.ndarray]
     return verdicts
 
 
-def _cut_verdicts(rho: DensityMatrix, cuts: Sequence[Bipartition], ppt: float) -> list[CutVerdict]:
-    """PPT tests with eigenvalue evidence for the cuts, from one stacked solve."""
-    if not rho.validated():
-        rho.validate()
-    return _verdicts(cuts, pt_spectra(rho, cuts), ppt)
+def _cut_verdicts(states: Sequence[DensityMatrix], cuts: Sequence[Bipartition], ppt: float) -> list[CutVerdict]:
+    """PPT tests with eigenvalue evidence, one per (state, cut), state-major, from one stacked solve."""
+    for rho in states:
+        if not rho.validated():
+            rho.validate()
+    return _verdicts(list(cuts) * len(states), pt_spectra(states, cuts), ppt)
 
 
 def is_ppt(rho: DensityMatrix, cut: Bipartition, ppt: float = TOL.ppt) -> CutVerdict:
     """PPT test with eigenvalue evidence for one bipartite cut."""
-    return _cut_verdicts(rho, [cut], ppt)[0]
+    return _cut_verdicts([rho], [cut], ppt)[0]
 
 
 @functools.cache
@@ -105,7 +105,7 @@ def scan_all_cuts(rho: DensityMatrix, ppt: float = TOL.ppt) -> list[CutVerdict]:
     """
     cuts = _cuts(rho.qubits)
     step = max(1, PT_BATCH_ENTRIES // max(1, rho.entries()[0].size))
-    return [v for i in range(0, len(cuts), step) for v in _cut_verdicts(rho, cuts[i : i + step], ppt)]
+    return [v for i in range(0, len(cuts), step) for v in _cut_verdicts([rho], cuts[i : i + step], ppt)]
 
 
 @dataclass(frozen=True)
@@ -210,15 +210,6 @@ class BellDiagonalVerdict:
 _PAIR_CUT = Bipartition.of((1,), 2)
 
 
-def _pair_cut_verdicts(states: Sequence[DensityMatrix], ppt: float) -> list[CutVerdict]:
-    """`is_ppt` at the 1|2 cut of each 2-qubit state, from one stacked solve;
-    each verdict has the bits of its state's `is_ppt`."""
-    for state in states:
-        if not state.validated():
-            state.validate()
-    return _verdicts([_PAIR_CUT] * len(states), stacked_pt_spectra(states, _PAIR_CUT), ppt)
-
-
 def bell_diagonal_entangled(weights: NoisyWeights, ppt: float = TOL.ppt) -> BellDiagonalVerdict:
     """Largest-weight verdict w > 1/2, cross-checked against the PPT test.
 
@@ -228,7 +219,7 @@ def bell_diagonal_entangled(weights: NoisyWeights, ppt: float = TOL.ppt) -> Bell
     """
     w = weights.w_max
     rule = w > 0.5
-    verdicts = tuple(is_ppt(bell_diagonal(weights, label), _PAIR_CUT, ppt) for label in BELL_LABELS)
+    verdicts = tuple(_cut_verdicts([bell_diagonal(weights, label) for label in BELL_LABELS], [_PAIR_CUT], ppt))
     verdict = verdicts[0]
     if (not verdict.ppt) != rule and abs(w - 0.5) > 10 * ppt:
         raise AnalyzeError(
@@ -421,7 +412,7 @@ def classify_abe(rho: DensityMatrix, ppt: float = TOL.ppt) -> AbeReport:
     if all_entangled:
         # by entries: the paper's states leave four distinct branch states
         distinct = {b"".join(a.tobytes() for a in b.state.entries()): b.state for b in unlock.branches}
-        all_entangled = not any(v.ppt for v in _pair_cut_verdicts(list(distinct.values()), ppt))
+        all_entangled = not any(v.ppt for v in _cut_verdicts(list(distinct.values()), [_PAIR_CUT], ppt))
     activation = ActivationEvidence(
         unlock.keep, len(unlock.branches), unlock.min_fidelity, unlock.xor_rule_holds, all_entangled
     )

@@ -236,49 +236,37 @@ def relabel_entries(rho: DensityMatrix, order: Sequence[int]) -> tuple[np.ndarra
     return rows[at], cols[at], vals[at]
 
 
-def spectra(dim: int, parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+def _direct_sum(dim: int, parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Rows, columns and values of the direct sum of dim x dim matrices given as
+    their entries, matrix g on indices g * dim ..; each keeps its own order."""
+    return [np.concatenate(a) for a in zip(*((r + g * dim, c + g * dim, v) for g, (r, c, v) in enumerate(parts)))]
+
+
+def spectra(dim: int, parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Ascending spectra, one row per dim x dim matrix given as its row-major
     nonzeros, from one stacked solve; row g has the bits of matrix g solved alone."""
-    shifted = [(r + g * dim, c + g * dim, v) for g, (r, c, v) in enumerate(parts)]
-    rows, cols, vals = (np.concatenate(a) for a in zip(*shifted))
-    return _jacobi(dim, rows, cols, vals, want_vectors=False, count=len(shifted))[0]
+    return _jacobi(dim, *_direct_sum(dim, parts), want_vectors=False, count=len(parts))[0]
 
 
-def pt_spectra(rho: DensityMatrix, cuts: Sequence[Bipartition]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra, one row per cut, and max column sums of the cuts'
-    partial transposes, `transpose_qubits(rho.matrix, n, cut.right)`, from one
-    stacked solve. The Hermiticity check is skipped for a state that passed
-    `validate`: a transpose moves each entry and its mirror alike, so their
-    deviations stay within validate's 1e-12, under the stack's 1e-10 bound."""
-    rows, cols, vals = _pt_entries(rho, cuts)
-    shift = rho.dim * np.arange(len(cuts))[:, None]
-    rows, cols = (rows + shift).ravel(), (cols + shift).ravel()
-    return _pt_solve(rho.dim, len(cuts), rows, cols, vals.ravel(), rho.validated())
-
-
-def stacked_pt_spectra(states: Sequence[DensityMatrix], cut: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """`pt_spectra` of several states of one size at one cut, one row per state,
-    from one stacked solve; each row has the bits of its state solved alone."""
-    dim, parts = 2**cut.qubits, []
-    for g, state in enumerate(states):
-        (rows,), (cols,), (vals,) = _pt_entries(state, [cut])
-        parts.append((rows + g * dim, cols + g * dim, vals))
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    return _pt_solve(dim, len(states), rows, cols, vals, all(s.validated() for s in states))
-
-
-def _pt_solve(
-    dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, validated: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra and max column sums of `count` partial transposes given as the
-    entries of their direct sum, each matrix's in its state's row-major order.
-    The entries are sorted row-major only for the Hermiticity check, which
-    looks mirrors up by key; a state that passed `validate` skips both."""
+def pt_spectra(states: Sequence[DensityMatrix], cuts: Sequence[Bipartition]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra and max column sums of the partial transposes
+    `transpose_qubits(state.matrix, n, cut.right)`, one row per (state, cut),
+    state-major, from one stacked solve; each row has the bits of its matrix
+    solved alone. A state that has not passed `validate` is checked for
+    Hermiticity once, on its own entries: a transpose moves each entry and its
+    mirror alike, so every transpose has the state's deviations and largest entry."""
+    for state in states:
+        if not state.validated():
+            _check_hermitian(state.dim, 1, *state.entries())
+    dim, count = states[0].dim, len(states) * len(cuts)
+    # each state's transposes as one direct sum, cut k on indices k * dim ..,
+    # then the states' sums as one; both generators are spent before the solve
+    step = dim * np.arange(len(cuts))[:, None]
+    moved = (_pt_entries(state, cuts) for state in states)
+    per_state = (((r + step).ravel(), (c + step).ravel(), v.ravel()) for r, c, v in moved)
+    rows, cols, vals = _direct_sum(len(cuts) * dim, per_state)
     one_norms = np.bincount(cols, weights=np.abs(vals), minlength=count * dim).reshape(count, dim)
-    if not validated:
-        order = np.argsort(rows * (count * dim) + cols)
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    eigs = _jacobi(dim, rows, cols, vals, False, count, check=not validated)[0]
+    eigs = _jacobi(dim, rows, cols, vals, False, count, check=False)[0]
     return eigs, one_norms.max(axis=1, initial=0.0)
 
 

@@ -552,12 +552,14 @@ class TestClassifyAbe:
                 return [*good, dataclasses.replace(last, ok=False)]
             monkeypatch.setattr(analyze, "certify_pairs", certify)
         else:  # the first of the four distinct branch states reads PPT, the other three NPT
-            real_verdicts = analyze._pair_cut_verdicts
-            def pair_cut_verdicts(states, ppt):
-                verdicts = real_verdicts(states, ppt)
+            real_verdicts = analyze._cut_verdicts
+            def cut_verdicts(states, cuts, ppt):
+                verdicts = real_verdicts(states, cuts, ppt)
+                if list(cuts) != [analyze._PAIR_CUT]:
+                    return verdicts
                 assert len(verdicts) == 4
                 return [dataclasses.replace(v, ppt=k == 0) for k, v in enumerate(verdicts)]
-            monkeypatch.setattr(analyze, "_pair_cut_verdicts", pair_cut_verdicts)
+            monkeypatch.setattr(analyze, "_cut_verdicts", cut_verdicts)
         report = classify_abe(class_states[(RHO_PLUS, 4)])
         conjuncts = {
             "npt_cut": report.has_npt_cut,

@@ -2,21 +2,24 @@
 
 Each oracle below is the earlier kernel, written out here: `np.unique` plus
 `np.add.at` for `add_entries`, the `lexsort((label, size))` rule for
-`_blocks`, bit-by-bit packing for `split_index`, the partial transposes sorted
-row-major and checked for `pt_spectra`, the stable argsort for values-only
-spectra, and one `is_ppt` per state for the stacked branch verdicts.
+`_blocks`, bit-by-bit packing for `split_index`, one `pt_spectra` solve per
+state and cut for the stacked partial transposes, the stable argsort for
+values-only spectra, and one `is_ppt` per state for the stacked branch
+verdicts and the four Bell-diagonal forms.
 """
 
 import itertools
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcabe import analyze, construct, linalg
 from bcabe.analyze import is_ppt
 from bcabe.basis import BELL_LABELS
 from bcabe.config import TOL
-from bcabe.linalg import Bipartition, DensityMatrix, pt_spectra
+from bcabe.linalg import Bipartition, DensityMatrix, LinalgError, pt_spectra
 from conftest import random_density_matrix, random_hermitian
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -144,9 +147,9 @@ def _verdict_bits(verdicts):
 class TestPtSpectraKernelBits:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(min_value=2, max_value=4), SEEDS, st.sampled_from([1.0, 0.4]))
-    def test_validated_copy_matches_sorted_checked_route(self, n, seed, kept):
-        # a validated state skips the row-major sort and the Hermiticity check;
-        # its spectra, one-norms and verdicts are the unvalidated state's
+    def test_validated_copy_matches_checked_route(self, n, seed, kept):
+        # a validated state skips the Hermiticity check; its spectra,
+        # one-norms and verdicts are the unvalidated state's
         rng = np.random.default_rng(seed)
         m = random_density_matrix(rng, n).matrix
         keep = np.triu(rng.random(m.shape) < kept)
@@ -155,11 +158,11 @@ class TestPtSpectraKernelBits:
         raw, checked = DensityMatrix(n, m), DensityMatrix(n, m)
         checked.validate()
         cuts = _all_cuts(n)
-        sorted_route, skipped = pt_spectra(raw, cuts), pt_spectra(checked, cuts)
+        checked_route, skipped = pt_spectra([raw], cuts), pt_spectra([checked], cuts)
         assert not raw.validated()
-        assert _bytes(skipped) == _bytes(sorted_route)
+        assert _bytes(skipped) == _bytes(checked_route)
         assert _verdict_bits(analyze._verdicts(cuts, skipped, TOL.ppt)) == _verdict_bits(
-            analyze._verdicts(cuts, sorted_route, TOL.ppt)
+            analyze._verdicts(cuts, checked_route, TOL.ppt)
         )
 
     def test_one_norms_of_the_paper_states_match_the_transposes_row_major_sum(self):
@@ -174,8 +177,61 @@ class TestPtSpectraKernelBits:
             order = np.argsort(rows * rho.dim + cols, axis=1)
             sorted_cols = np.take_along_axis(cols, order, axis=1)
             sorted_vals = np.take_along_axis(vals, order, axis=1)
-            for cut, one_norm, c, v in zip(cuts, pt_spectra(rho, cuts)[1], sorted_cols, sorted_vals):
+            for cut, one_norm, c, v in zip(cuts, pt_spectra([rho], cuts)[1], sorted_cols, sorted_vals):
                 assert one_norm.hex() == np.bincount(c, weights=np.abs(v)).max().hex(), (n, weights, str(cut))
+
+    @settings(deadline=None, max_examples=40)
+    @given(SEEDS, st.integers(min_value=2, max_value=4), st.data())
+    def test_stack_rows_match_each_state_and_cut_alone(self, seed, n, data):
+        # one solve over states x cuts, state-major; each row has the bits of
+        # that partial transpose solved alone, validated or not
+        rng = np.random.default_rng(seed)
+        kinds = data.draw(st.lists(st.sampled_from(["dense", "sparse", "bell_diagonal"]), min_size=1, max_size=4))
+        states = [self._state(rng, n, kind, data.draw(st.booleans())) for kind in kinds]
+        cuts = data.draw(st.lists(st.sampled_from(_all_cuts(n)), min_size=1, max_size=4))
+        eigs, one_norms = pt_spectra(states, cuts)
+        assert eigs.shape == (len(states) * len(cuts), 2**n) and one_norms.shape == (len(states) * len(cuts),)
+        rows = iter(zip(eigs, one_norms))
+        for state, cut in itertools.product(states, cuts):
+            row_eigs, row_norm = next(rows)
+            (alone_eigs,), (alone_norm,) = pt_spectra([state], [cut])
+            assert _bytes([row_eigs, row_norm]) == _bytes([alone_eigs, alone_norm]), str(cut)
+
+    @settings(deadline=None, max_examples=30)
+    @given(SEEDS, st.integers(min_value=2, max_value=4), st.data())
+    def test_bad_state_in_a_stack_raises_its_own_error(self, seed, n, data):
+        rng = np.random.default_rng(seed)
+        kinds = data.draw(st.lists(st.sampled_from(["dense", "sparse", "bell_diagonal"]), max_size=3))
+        states = [self._state(rng, n, kind, data.draw(st.booleans())) for kind in kinds]
+        m = random_density_matrix(rng, n).matrix.copy()
+        m[0, -1] += data.draw(st.sampled_from([1e-6, 1e-3j, np.nan]))  # skewed, or not finite
+        bad = DensityMatrix(n, m)
+        states.insert(data.draw(st.integers(min_value=0, max_value=len(states))), bad)
+        cuts = data.draw(st.lists(st.sampled_from(_all_cuts(n)), min_size=1, max_size=3))
+        with pytest.raises(LinalgError) as alone:
+            pt_spectra([bad], cuts[:1])
+        with pytest.raises(LinalgError) as stacked:
+            pt_spectra(states, cuts)
+        message = str(alone.value)
+        assert str(stacked.value) == message
+        assert re.fullmatch(r"matrix is not Hermitian: max deviation .*|matrix has a non-finite entry", message)
+
+    @staticmethod
+    def _state(rng, n, kind, validated):
+        if kind == "bell_diagonal":
+            weights = construct.NoisyWeights(*rng.dirichlet(np.ones(4)))
+            m = np.kron(construct.bell_diagonal(weights, BELL_LABELS[rng.integers(4)]).matrix, np.eye(2 ** (n - 2)))
+            m /= 2 ** (n - 2)
+        else:
+            m = random_density_matrix(rng, n).matrix
+            if kind == "sparse":
+                keep = np.triu(rng.random(m.shape) < 0.3)
+                m = m * (keep | keep.T | np.eye(2**n, dtype=bool))
+                m /= np.trace(m).real
+        state = DensityMatrix(n, m)
+        if validated:
+            state.validate()
+        return state
 
 
 class TestValuesOnlySpectraKernelBits:
@@ -210,7 +266,7 @@ class TestValuesOnlySpectraKernelBits:
         assert values_only.shape == with_vectors.shape and (values_only == with_vectors).all()
 
 
-class TestPairCutVerdictsKernelBits:
+class TestStackedCutVerdictsKernelBits:
     @settings(deadline=None, max_examples=40)
     @given(SEEDS, st.lists(st.sampled_from(["dense", "bell_diagonal", "diagonal"]), min_size=1, max_size=6))
     def test_stacked_matches_is_ppt_per_state(self, seed, kinds):
@@ -225,6 +281,31 @@ class TestPairCutVerdictsKernelBits:
             else:
                 m = np.diag(rng.dirichlet(np.ones(4))).astype(complex)
             mats.append(m)
-        stacked = analyze._pair_cut_verdicts([DensityMatrix(2, m) for m in mats], TOL.ppt)
+        stacked = analyze._cut_verdicts([DensityMatrix(2, m) for m in mats], [analyze._PAIR_CUT], TOL.ppt)
         alone = [is_ppt(DensityMatrix(2, m), analyze._PAIR_CUT) for m in mats]
         assert _verdict_bits(stacked) == _verdict_bits(alone)
+
+
+def four_is_ppt_bell_diagonal_entangled(weights, ppt):
+    """The earlier `bell_diagonal_entangled`: one `is_ppt` solve per Bell-diagonal form."""
+    w = weights.w_max
+    rule = w > 0.5
+    verdicts = tuple(is_ppt(construct.bell_diagonal(weights, label), analyze._PAIR_CUT, ppt) for label in BELL_LABELS)
+    if (not verdicts[0].ppt) != rule and abs(w - 0.5) > 10 * ppt:
+        raise analyze.AnalyzeError(f"w_max rule ({rule}) and PPT test ({not verdicts[0].ppt}) disagree at w={w!r}")
+    return analyze.BellDiagonalVerdict(w, rule, verdicts[0].min_eigenvalue, verdicts)
+
+
+class TestBellDiagonalVerdictsKernelBits:
+    # both scan lines, through w_max = 1/2 exactly and one TOL.ppt either side
+    GRID = sorted({*np.linspace(0.0, 1.0, 21).tolist(), 0.5 - TOL.ppt, 0.5 + TOL.ppt})
+
+    @pytest.mark.parametrize("line", sorted(construct.SCAN_LINES))
+    @pytest.mark.parametrize("ppt", [TOL.ppt, 0.3])
+    def test_one_solve_matches_four_is_ppt(self, line, ppt):
+        for w in self.GRID:
+            weights = construct.SCAN_LINES[line](w)
+            got, want = analyze.bell_diagonal_entangled(weights, ppt), four_is_ppt_bell_diagonal_entangled(weights, ppt)
+            assert (got.w_max.hex(), got.entangled, got.min_pt_eigenvalue.hex()) == (
+                want.w_max.hex(), want.entangled, want.min_pt_eigenvalue.hex()), (line, w)
+            assert _verdict_bits(got.ppt_verdicts) == _verdict_bits(want.ppt_verdicts), (line, w)

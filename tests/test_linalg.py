@@ -112,7 +112,7 @@ class TestPtSpectrum:
         keep = np.triu(rng.random((dim, dim)) < kept)
         dm = DensityMatrix(n, random_hermitian(rng, dim) * (keep | keep.T))
         cuts = [Bipartition.of(left, n) for r in range(1, n) for left in itertools.combinations(range(1, n + 1), r)]
-        spectra, one_norms = pt_spectra(dm, cuts)
+        spectra, one_norms = pt_spectra([dm], cuts)
         assert spectra.shape == (len(cuts), dim) and one_norms.shape == (len(cuts),)
         for cut, eigs, one_norm in zip(cuts, spectra, one_norms):
             pt = transpose_qubits(dm.matrix, n, cut.right)
@@ -159,7 +159,7 @@ class TestPtSpectrum:
         st.sampled_from([0.0, 1e-13, 1e-3]),
     )
     def test_moved_deviations_are_the_sources_permuted(self, n, seed, kept, skew):
-        # why a validated state may skip the stack's check: a transpose moves
+        # why a state's own check stands for its transposes': a transpose moves
         # an entry and its mirror by the same s, so the deviations move along
         rng = np.random.default_rng(seed)
         dim = 2**n
@@ -180,21 +180,21 @@ class TestPtSpectrum:
         rho = construct.noisy_state(construct.NoisyWeights(0.7, 0.1, 0.1, 0.1), 4)
         cuts = [Bipartition.of((1,), 4), Bipartition.of((1, 2), 4)]
         raw = DensityMatrix(4, rho.entries())
-        pt_spectra(raw, cuts)
-        assert checked == [2]  # not validated: the stack is checked
+        pt_spectra([raw], cuts)
+        assert checked == [1]  # not validated: the state is checked, not the stack of its transposes
         raw.validate()
-        pt_spectra(raw, cuts)
+        pt_spectra([raw], cuts)
         linalg.spectra(16, [raw.entries()])
         hermitian_eigenvalues(raw.matrix)
-        assert checked == [2, 1, 1]  # validated: pt_spectra skips it, the raw-input routes do not
+        assert checked == [1, 1, 1]  # validated: pt_spectra skips it, the raw-input routes do not
         skewed = np.eye(4) / 4
         skewed[0, 3] = 1e-6
         with pytest.raises(LinalgError, match="not Hermitian"):
-            pt_spectra(DensityMatrix(2, skewed), [Bipartition.of((1,), 2)])
+            pt_spectra([DensityMatrix(2, skewed)], [Bipartition.of((1,), 2)])
 
     def test_invalid_cut_rejected(self):
         with pytest.raises(LinalgError, match="cut over 3 qubits"):
-            pt_spectra(DensityMatrix(2, bell_projector(PHI_PLUS)), [Bipartition.of((1,), 2), Bipartition.of((1,), 3)])
+            pt_spectra([DensityMatrix(2, bell_projector(PHI_PLUS))], [Bipartition.of((1,), 2), Bipartition.of((1,), 3)])
 
 
 class TestPartialTrace:
