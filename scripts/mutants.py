@@ -98,6 +98,16 @@ MUTANTS = [
     ("stack-rows-without-state-offset", "linalg.py",
      "(r + g * dim, c + g * dim, v)",
      "(r, c + g * dim, v)"),
+    # linalg._paired: the one exact rotation per paired 2 x 2 block
+    ("paired-row-step-s-not-conj", "linalg.py",
+     "n00 * c + s.conjugate() * n10",
+     "n00 * c + s * n10"),
+    ("paired-rotates-converged-matrices", "linalg.py",
+     "eigs[p], eigs[q] = np.where(busy, ends.real, [a00.real, a11.real])",
+     "eigs[p], eigs[q] = ends.real"),
+    ("paired-accepts-two-partners", "linalg.py",
+     "if not ((mate[i] == j).all() and (mate[j] == i).all()):",
+     "if not (mate[i] == j).all():"),
 ]
 
 

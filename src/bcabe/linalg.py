@@ -185,17 +185,20 @@ def add_entries(dim: int, terms: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.n
     """The nonzeros, row-major, of the dim x dim sum of the terms, each given as
     (rows, cols, vals) arrays of one shape. Entries at one position are added
     from 0 in the order given: the bits of a dense `+=` per term."""
-    rows, cols, vals = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*terms))
+    terms = list(terms)
+    keys = np.concatenate([np.ravel(r * dim + c) for r, c, _ in terms])
     # stable, so each position's entries keep the order given; the terms are
     # row-major runs, which the stable sort merges in near-linear time
-    keys = rows * dim + cols
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    vals = np.concatenate([np.ravel(v) for *_, v in terms])[order]
+    del order  # freed once spent: this sum is the memory peak of the pair certificates
     first = np.diff(keys, prepend=-1) > 0  # the first entry at each position
-    acc = np.zeros(np.count_nonzero(first), dtype=complex)
-    np.add.at(acc, np.cumsum(first) - 1, vals[order])
+    keys = keys[first]
+    acc = np.zeros(keys.size, dtype=complex)
+    np.add.at(acc, np.cumsum(first) - 1, vals)
     nz = acc != 0
-    keys = keys[first][nz]
+    keys = keys[nz]
     return keys // dim, keys % dim, acc[nz]
 
 
@@ -347,8 +350,8 @@ def _hermitian_deviation(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.
 
 
 def _check_hermitian(dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Reject non-finite entries and, in any of the `count` stacked dim x dim
-    matrices, a Hermiticity deviation above 1e-10 relative to its largest entry."""
+    """Reject non-finite entries and, in any of the `count` stacked dim x dim matrices, a
+    Hermiticity deviation above 1e-10 * max(1, largest |entry|): 1e-10 for any state."""
     owner = rows // dim
     worst, scale = np.zeros(count), np.ones(count)
     np.maximum.at(worst, owner, _hermitian_deviation(count * dim, rows, cols, vals))
@@ -453,12 +456,69 @@ def _jacobi(
     check: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenpairs, (count, dim) ascending values and (count, dim, dim) vector
-    columns, of `count` matrices given row-major as the nonzeros of their direct
-    sum, matrix g on indices g * dim ..; each has its own norm, skip level and
-    stop test and leaves the sweeps once it stops: the bits it gets alone.
+    columns, of `count` matrices given as the nonzeros of their direct sum,
+    matrix g on indices g * dim ..; each has its own norm, skip level and stop
+    test: the bits it gets alone. Values of a pattern whose components hold at
+    most two indices come from `_paired`, the rest from `_sweeps`.
     `check=False` skips `_check_hermitian`, for entries known to pass it."""
     if check:
         _check_hermitian(dim, count, rows, cols, vals)
+    eigs = None if want_vectors else _paired(dim, count, rows, cols, vals)
+    return (eigs, None) if eigs is not None else _sweeps(dim, rows, cols, vals, want_vectors, count)
+
+
+def _paired(dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
+    """The values `_sweeps` gives when each index of the off-diagonal pattern has
+    at most one partner, else None. Each busy matrix takes `_sweep`'s one round,
+    each step the same operation on the same operands: it zeroes every pair above
+    the skip level and leaves the rest at or below it, so the stop test then holds."""
+    size = count * dim
+    i, j = np.compress(rows != cols, [rows, cols], axis=1)
+    mate = np.full(size, -1)
+    mate[i], mate[j] = j, i
+    # whichever partner an index kept, an entry that names another disagrees
+    if not ((mate[i] == j).all() and (mate[j] == i).all()):
+        return None
+    solo, p = np.flatnonzero(mate < 0), np.flatnonzero(mate > np.arange(size))
+    k, q = p.size, mate[p]
+    # `_blocks`' two stacks, flat: the 1 x 1 one, then the (2, 2, k) one, whose
+    # entry (r, c) sits at home[r] + k * sign(c - r), home[r] its a[0, 0] or a[1, 1]
+    home = np.empty(size, dtype=np.intp)
+    home[solo], home[p], home[q] = np.arange(solo.size), solo.size + np.arange(k), solo.size + 3 * k + np.arange(k)
+    flat = np.zeros(solo.size + 4 * k, dtype=complex)
+    flat[home[rows] + k * np.sign(cols - rows)] = vals
+    one, a = flat[: solo.size], flat[solo.size :].reshape(2, 2, k)
+    for x in (one[None, None], a):  # Hermitian parts, as the stacks take them
+        x += x.transpose(1, 0, 2).conj()
+        x /= 2.0
+    norm = np.sqrt(sum(_per_matrix(ix // dim, x.real**2 + x.imag**2, count) for ix, x in ((solo, one), (p, a))))
+    target = TOL.eigen_offdiag * norm
+    owner, skip = p // dim, target / (100.0 * dim)
+    apq, a00, a11 = a[0, 1], a[0, 0], a[1, 1]
+    r = np.hypot(apq.real, apq.imag)
+    sel = r > skip[owner]
+    off, big = _per_matrix(owner, apq.real**2 + apq.imag**2, count), _per_matrix(owner, sel, count)
+    busy = ((math.sqrt(2.0) * np.sqrt(off) > target) & (big > 0))[owner]
+    r = np.where(sel, r, 1.0)
+    theta = (a00.real - a11.real) / (2.0 * r)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+    c = np.where(sel, 1.0 / np.sqrt(1.0 + t * t), 1.0)
+    s = np.where(sel, (t * c) * (apq / r).conjugate(), 0.0)
+    sq = -s.conjugate()  # U = [[c, -conj(s)], [s, c]]: the columns, then the rows
+    n00, n01, n10, n11 = a00 * c + s * apq, apq * c + sq * a00, a[1, 0] * c + s * a11, a11 * c + sq * a[1, 0]
+    ends = np.stack([n00 * c + s.conjugate() * n10, n11 * c + sq.conjugate() * n01])
+    ends = (ends + ends.conj()) / 2.0  # the diagonal of the Hermitian part
+    eigs = np.empty(size)
+    eigs[solo] = one.real
+    eigs[p], eigs[q] = np.where(busy, ends.real, [a00.real, a11.real])
+    return np.sort(eigs.reshape(count, dim), axis=1)
+
+
+def _sweeps(
+    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, want_vectors: bool, count: int = 1,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """`_jacobi` by parallel sweeps over every component, unchecked; a matrix
+    leaves the sweeps once it meets its stop test."""
     # per size d: the (d, k) indices, the Hermitian (d, d, k) blocks, their
     # (d, d, k) eigenvector blocks and the matrix each block belongs to
     stacks = []

@@ -565,6 +565,7 @@ class TestGoldenBytes:
         "report_noisy_n6": ["report", "--noisy", "0.553,0.2,0.147,0.1", "--n", "6"],
         "report_rho+_n8": ["report", "--class", "rho+", "--n", "8"],
         "report_noisy_n8": ["report", "--noisy", "0.4,0.2,0.2,0.2", "--n", "8"],
+        "report_noisy0p553_n8": ["report", "--noisy", "0.553,0.2,0.147,0.1", "--n", "8"],
         "construct_rho-_n4": ["construct", "--class", "rho-", "--n", "4", "--dump", "construct_rho-_n4.dump"],
         "verify_n8": ["verify", "--n", "8"],
         "unlock_noisy_n8": [
@@ -611,6 +612,23 @@ class TestGoldenBytes:
         for stream, pin in pins.items():
             if pin is not None or stream == "stderr":
                 assert captured[stream].encode() == (pin.read_bytes() if pin else b""), stream
+
+
+class TestPairedRoutePin:
+    """Every eigensolve of these commands is a direct sum of 1 x 1 and 2 x 2
+    blocks, which `linalg._paired` solves by one rotation: with the Jacobi
+    sweep made to raise they still exit 0 with their pinned bytes."""
+
+    @pytest.mark.parametrize("name", ["report_rho+_n8", "report_noisy0p553_n8", "verify_n8"])
+    def test_no_sweep_runs(self, name, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a Jacobi sweep ran")
+
+        monkeypatch.setattr(linalg, "_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert run(TestGoldenBytes.CASES[name] + ["--json", f"{name}.json"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / f"{name}.json").read_bytes() == (GOLDEN_CLI / f"{name}.json").read_bytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

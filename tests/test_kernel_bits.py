@@ -5,7 +5,8 @@ Each oracle below is the earlier kernel, written out here: `np.unique` plus
 `_blocks`, bit-by-bit packing for `split_index`, one `pt_spectra` solve per
 state and cut for the stacked partial transposes, the stable argsort for
 values-only spectra, and one `is_ppt` per state for the stacked branch
-verdicts and the four Bell-diagonal forms.
+verdicts and the four Bell-diagonal forms. The paired route's oracle is the
+Jacobi sweeps it skips, `linalg._sweeps`, which still serve every other pattern.
 """
 
 import itertools
@@ -309,3 +310,75 @@ class TestBellDiagonalVerdictsKernelBits:
             assert (got.w_max.hex(), got.entangled, got.min_pt_eigenvalue.hex()) == (
                 want.w_max.hex(), want.entangled, want.min_pt_eigenvalue.hex()), (line, w)
             assert _verdict_bits(got.ppt_verdicts) == _verdict_bits(want.ppt_verdicts), (line, w)
+
+
+class TestPairedRouteKernelBits:
+    """`linalg._paired`, the one exact rotation per paired 2 x 2 block, against
+    the sweeps it replaces there (`linalg._sweeps`), eigenvalue bytes equal."""
+
+    KINDS = ["zero", "diagonal", "converged", "busy", "busy"]
+
+    @settings(deadline=None, max_examples=200)
+    @given(SEEDS, st.integers(min_value=2, max_value=16), st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+           st.booleans())
+    def test_matches_the_sweeps(self, seed, dim, kinds, shuffled):
+        rng = np.random.default_rng(seed)
+        parts = [self._paired_matrix(rng, dim, kind) for kind in kinds]
+        rows, cols, vals = linalg._direct_sum(dim, parts)
+        if shuffled:  # as pt_spectra gives them: the state's order, not the transpose's
+            at = rng.permutation(rows.size)
+            rows, cols, vals = rows[at], cols[at], vals[at]
+        assert linalg._paired(dim, len(parts), rows, cols, vals) is not None
+        got, _ = linalg._jacobi(dim, rows, cols, vals, want_vectors=False, count=len(parts), check=False)
+        want, _ = linalg._sweeps(dim, rows, cols, vals, want_vectors=False, count=len(parts))
+        assert _bytes([got]) == _bytes([want])
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 1), (1, 0), (0, 2), (2, 0)],  # index 0 with two partners
+        [(0, 1), (2, 1)],  # index 1 with two, named only as a column: no mirrors
+        [(1, 0), (1, 2)],  # and only as a row
+        [(0, 1), (1, 2)],  # a chain of three
+        [(0, 3), (3, 0), (1, 2), (2, 1), (2, 3)],
+    ])
+    def test_an_index_with_two_partners_is_swept(self, entries):
+        rows, cols = (np.array(a) for a in zip(*entries, *((i, i) for i in range(4))))
+        vals = np.linspace(1.0, 2.0, rows.size) + 0.5j * (rows != cols)
+        assert linalg._paired(4, 1, rows, cols, vals) is None
+        got, _ = linalg._jacobi(4, rows, cols, vals, want_vectors=False, check=False)
+        assert _bytes([got]) == _bytes(linalg._sweeps(4, rows, cols, vals, want_vectors=False)[:1])
+
+    @staticmethod
+    def _paired_matrix(rng, dim, kind):
+        """Entries of one matrix whose indices pair at most once: some left
+        unpaired, the diagonal often equal across a pair (theta = 0), and
+        off-diagonals at the skip level, one ulp either side of it, a few
+        times it (a matrix that meets the stop test but has pairs to rotate)
+        or far above it; some mirrors left out."""
+        if kind == "zero":
+            return np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex)
+        scale = 10.0 ** rng.integers(-12, 13)
+        m = np.diag(rng.standard_normal(dim) * scale * (rng.random(dim) < 0.8)).astype(complex)
+        order = rng.permutation(dim)
+        pairs = order[: 2 * rng.integers(0 if kind == "diagonal" else 1, dim // 2 + 1)].reshape(-1, 2)
+        if kind == "diagonal":
+            pairs = pairs[:0]
+        for p, q in pairs:
+            if rng.random() < 0.5:
+                m[q, q] = m[p, p]
+        big = [(p, q) for p, q in pairs if kind == "busy" and rng.random() < 0.6] or (
+            [tuple(pairs[0])] if kind == "busy" else [])
+        for p, q in big:
+            m[p, q] = scale * 10.0 ** rng.uniform(-8, 0) * np.exp(2j * np.pi * rng.random())
+        # the skip level `_jacobi` takes from this norm; the small pairs below do not move it
+        skip = TOL.eigen_offdiag * np.sqrt(np.sum(np.abs(m + np.triu(m, 1).conj().T) ** 2)) / (100.0 * dim)
+        for p, q in pairs:
+            if (p, q) in big:
+                continue
+            size = rng.choice([skip, np.nextafter(skip, 0), np.nextafter(skip, np.inf), 2.0 * skip, 7.0 * skip,
+                               1e-20 * scale])
+            m[p, q] = size * rng.choice([1.0, -1.0, 1j, -1j, np.exp(2j * np.pi * rng.random())])
+        for p, q in pairs:
+            if rng.random() < 0.9:
+                m[q, p] = np.conj(m[p, q])
+        rows, cols = np.nonzero(m)
+        return rows, cols, m[rows, cols]

@@ -399,6 +399,28 @@ class TestEigensolverByComponent:
         with pytest.raises(LinalgError, match="not Hermitian"):
             hermitian_eigenvalues(m)
 
+    def test_dense_matrix_reaches_the_sweeps(self, monkeypatch):
+        # a component of more than two indices is swept; only paired patterns take one rotation
+        real, shapes = linalg._sweep, []
+        monkeypatch.setattr(linalg, "_sweep", lambda a, v, skip: shapes.append(a.shape) or real(a, v, skip))
+        h = random_hermitian(np.random.default_rng(23), 8)
+        assert np.abs(hermitian_eigenvalues(h) - np.linalg.eigvalsh(h)).max() < 1e-10 * np.linalg.norm(h)
+        assert shapes and shapes[0] == (8, 8, 1)
+
+    def test_hermiticity_bound_is_absolute_up_to_unit_entries(self):
+        # 1e-10 * max(1, largest |entry|): entries near 1e-3 get 1e-10 itself,
+        # not 1e-10 of their size, so a 5e-11 skew passes and 2e-10 does not
+        for skew, accepted in ((5e-11, True), (2e-10, False)):
+            m = 1e-3 * np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+            stack = np.kron(np.eye(2), m)  # two matrices, the skew in the second
+            stack[2, 3] += skew
+            rows, cols = np.nonzero(stack)
+            if accepted:
+                linalg._check_hermitian(2, 2, rows, cols, stack[rows, cols])
+            else:
+                with pytest.raises(LinalgError, match="not Hermitian"):
+                    linalg._check_hermitian(2, 2, rows, cols, stack[rows, cols])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(LinalgError, match="non-finite"):
