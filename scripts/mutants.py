@@ -88,6 +88,10 @@ MUTANTS = [
     ("certificate-residual-bound-disabled", "analyze.py",
      "if err > TOL.certificate:",
      "if err > 1e300:"),
+    ("certificates-keep-every-residual", "analyze.py",
+     "    return outcomes, norm_of(add_entries(4 * rest, parts)[2])",
+     "    _measure.kept = getattr(_measure, 'kept', []) + [parts]\n"
+     "    return outcomes, norm_of(add_entries(4 * rest, parts)[2])"),
     ("all-pairs-certified-only-up-to-n4", "analyze.py",
      "if n <= 6:\n        return pairs",
      "if n <= 4:\n        return pairs"),
@@ -98,13 +102,17 @@ MUTANTS = [
     ("stack-rows-without-state-offset", "linalg.py",
      "(r + g * dim, c + g * dim, v)",
      "(r, c + g * dim, v)"),
+    # linalg._rotation, which the sweeps and the paired route share: the identity off `sel`
+    ("rotation-scales-unselected-pairs", "linalg.py",
+     "c = np.where(sel, 1.0 / np.sqrt(1.0 + t * t), 1.0)",
+     "c = 1.0 / np.sqrt(1.0 + t * t)"),
     # linalg._paired: the one exact rotation per paired 2 x 2 block
     ("paired-row-step-s-not-conj", "linalg.py",
      "n00 * c + s.conjugate() * n10",
      "n00 * c + s * n10"),
     ("paired-rotates-converged-matrices", "linalg.py",
-     "eigs[p], eigs[q] = np.where(busy, ends.real, [a00.real, a11.real])",
-     "eigs[p], eigs[q] = ends.real"),
+     "_rotation(apq, a00, a11, sel & busy)",
+     "_rotation(apq, a00, a11, sel)"),
     ("paired-accepts-two-partners", "linalg.py",
      "if not ((mate[i] == j).all() and (mate[j] == i).all()):",
      "if not (mate[i] == j).all():"),

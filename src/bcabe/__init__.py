@@ -6,64 +6,6 @@ activable bound entangled: PPT and separable across every pair-vs-rest cut,
 NPT across one-vs-rest cuts, and unlockable to a perfect Bell pair once the
 other parties group or measure pairwise. This package constructs the states
 (direct enumeration, Pauli conjugation, Bell-correlated recursion), runs the
-activation protocols exactly, and verifies every claimed property.
+activation protocols exactly, and verifies every claimed property. Each name
+is imported from the module that defines it: `from bcabe.analyze import classify_abe`.
 """
-
-from .basis import (
-    BELL_LABELS,
-    BellLabel,
-    PHI_MINUS,
-    PHI_PLUS,
-    PSI_MINUS,
-    PSI_PLUS,
-    bell_projector,
-    bell_vector,
-)
-from .config import max_qubits
-from .construct import (
-    NoisyWeights,
-    RHO_MINUS,
-    RHO_PLUS,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    STATE_CLASSES,
-    StateClass,
-    bell_diagonal,
-    noisy_state,
-    pauli_relate,
-    projector_direct,
-    projector_recursive,
-)
-from .linalg import (
-    Bipartition,
-    DensityMatrix,
-    apply_qubit_permutation,
-    dump_matrix,
-    frobenius_distance,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    pt_spectra,
-    tensor,
-)
-from .analyze import (
-    AbeReport,
-    CutVerdict,
-    SeparabilityCertificate,
-    bell_diagonal_entangled,
-    certify_two_vs_rest_separable,
-    check_permutation_invariance,
-    classify_abe,
-    is_ppt,
-    scan_all_cuts,
-)
-from .protocol import (
-    MeasurementOutcome,
-    UnlockResult,
-    bell_fidelity,
-    best_bell,
-    bell_measure,
-    discriminate_subspace,
-    unlock_sequential,
-)
-
-__version__ = "0.1.0"

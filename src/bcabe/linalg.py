@@ -410,6 +410,20 @@ def _rounds(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, q, mate
 
 
+def _rotation(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, s) of U = [[c, -conj(s)], [s, c]], which zeroes the off-diagonal apq of
+    each Hermitian [[app, apq], [conj(apq), aqq]] where `sel` holds; elsewhere the
+    identity, (1, 0), with no angle taken."""
+    r = np.hypot(apq.real, apq.imag)  # not np.abs, which can differ in the last bit
+    r = np.where(sel, r, 1.0)  # keeps the angles the identity replaces finite
+    theta = (app.real - aqq.real) / (2.0 * r)
+    # small-magnitude root of t^2 + 2 theta t - 1 = 0, with the sign of theta
+    # (+1 at theta = +0, which is the zero a difference of equal numbers gives)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+    c = np.where(sel, 1.0 / np.sqrt(1.0 + t * t), 1.0)
+    return c, np.where(sel, (t * c) * (apq / r).conjugate(), 0.0)
+
+
 def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray) -> None:
     """One sweep over a (d, d, k) stack of blocks, in place; `v` is laid out
     like `a`. Each round zeroes a[p, q] for all its pairs in every block b where
@@ -418,19 +432,12 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray) -> None:
     d, _, k = a.shape
     for p, q, mate in zip(*_rounds(d)):
         apq = a[p, q]
-        r = np.hypot(apq.real, apq.imag)  # not np.abs, which can differ in the last bit
-        sel = r > skip
-        r = np.where(sel, r, 1.0)  # keeps the angles the identity replaces finite
-        theta = (a[p, p].real - a[q, q].real) / (2.0 * r)
-        # small-magnitude root of t^2 + 2 theta t - 1 = 0, with the sign of theta
-        # (+1 at theta = +0, which is the zero a difference of equal numbers gives)
-        t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = np.where(sel, (t * c) * (apq / r).conjugate(), 0.0)
+        sel = np.hypot(apq.real, apq.imag) > skip
+        c, s = _rotation(apq, a[p, p], a[q, q], sel)
         # U = [[c, -conj(s)], [s, c]] on each (p, q): column j of A U is
         # cj A[:, j] + sj A[:, mate[j]], and row j of U^dag A is the same with conj(sj)
         cj = np.ones((d, k))
-        cj[p] = cj[q] = np.where(sel, c, 1.0)
+        cj[p] = cj[q] = c
         sj = np.zeros((d, k), dtype=complex)
         sj[p], sj[q] = s, -s.conjugate()
         mixes = [(a, 1, cj, sj), (a, 0, cj[:, None], sj.conjugate()[:, None])]
@@ -470,8 +477,8 @@ def _jacobi(
 def _paired(dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
     """The values `_sweeps` gives when each index of the off-diagonal pattern has
     at most one partner, else None. Each busy matrix takes `_sweep`'s one round,
-    each step the same operation on the same operands: it zeroes every pair above
-    the skip level and leaves the rest at or below it, so the stop test then holds."""
+    its `_rotation` and each step after it on the same operands: it zeroes every pair
+    above the skip level and leaves the rest at or below it, so the stop test then holds."""
     size = count * dim
     i, j = np.compress(rows != cols, [rows, cols], axis=1)
     mate = np.full(size, -1)
@@ -495,22 +502,17 @@ def _paired(dim: int, count: int, rows: np.ndarray, cols: np.ndarray, vals: np.n
     target = TOL.eigen_offdiag * norm
     owner, skip = p // dim, target / (100.0 * dim)
     apq, a00, a11 = a[0, 1], a[0, 0], a[1, 1]
-    r = np.hypot(apq.real, apq.imag)
-    sel = r > skip[owner]
+    sel = np.hypot(apq.real, apq.imag) > skip[owner]
     off, big = _per_matrix(owner, apq.real**2 + apq.imag**2, count), _per_matrix(owner, sel, count)
     busy = ((math.sqrt(2.0) * np.sqrt(off) > target) & (big > 0))[owner]
-    r = np.where(sel, r, 1.0)
-    theta = (a00.real - a11.real) / (2.0 * r)
-    t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-    c = np.where(sel, 1.0 / np.sqrt(1.0 + t * t), 1.0)
-    s = np.where(sel, (t * c) * (apq / r).conjugate(), 0.0)
+    c, s = _rotation(apq, a00, a11, sel & busy)  # a converged matrix takes no angle
     sq = -s.conjugate()  # U = [[c, -conj(s)], [s, c]]: the columns, then the rows
     n00, n01, n10, n11 = a00 * c + s * apq, apq * c + sq * a00, a[1, 0] * c + s * a11, a11 * c + sq * a[1, 0]
     ends = np.stack([n00 * c + s.conjugate() * n10, n11 * c + sq.conjugate() * n01])
     ends = (ends + ends.conj()) / 2.0  # the diagonal of the Hermitian part
     eigs = np.empty(size)
     eigs[solo] = one.real
-    eigs[p], eigs[q] = np.where(busy, ends.real, [a00.real, a11.real])
+    eigs[p], eigs[q] = ends.real  # c = 1, s = 0 keeps each bit of a converged matrix's finite diagonal
     return np.sort(eigs.reshape(count, dim), axis=1)
 
 

@@ -263,16 +263,26 @@ class TestCertifyPairs:
             with pytest.raises(ProtocolError):
                 certify_pairs(class_states[(RHO_PLUS, 6)], [(1, 2), pair])
 
-    def test_certificate_stage_peaks_below_the_cut_scan(self, monkeypatch):
+    def test_certificate_stage_holds_one_residual_at_a_time(self, monkeypatch):
         # the pairs' factor states are solved as one stack, but each pair's Bell
-        # measurement and residual are formed and dropped in turn; holding all
-        # three pairs' residuals at once peaks at about 2.3 MiB
+        # measurement and residual are formed and dropped in turn, so the stage
+        # peaks below two pairs' residuals held together, one pair's own peak
+        # plus a second pair's residual terms: at n = 10 about 650 KB, against
+        # 560 KB for one pair at a time and 865 KB or more with every pair's kept
         monkeypatch.setenv("BCABE_MAX_N", "10")
         rho = projector_direct(RHO_PLUS, 10)
         pairs = certificate_pairs(10)
-        stages = (lambda: scan_all_cuts(rho), lambda: certify_pairs(rho, pairs))
+        terms, add_entries = [], analyze.add_entries
+
+        def counted(dim, parts):
+            terms.append(sum(a.nbytes for part in parts for a in part))
+            return add_entries(dim, parts)
+
+        with monkeypatch.context() as m:
+            m.setattr(analyze, "add_entries", counted)
+            analyze._measure(rho, pairs[0])
         peaks = []
-        for stage in stages:
+        for stage in (lambda: analyze._measure(rho, pairs[0]), lambda: certify_pairs(rho, pairs)):
             stage()  # the state's entries and validation, and the sweep orders, are cached
             tracemalloc.start()
             try:
@@ -280,7 +290,8 @@ class TestCertifyPairs:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < peaks[0]
+        one_pair, stage_peak = peaks
+        assert stage_peak < one_pair + terms[0]
 
 
 def _einsum_reconstruction_error(rho: DensityMatrix, cert) -> float:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -190,6 +191,41 @@ class TestDiscriminate:
         for o in data["outcomes"]:
             assert o["probability"] == pytest.approx(0.25, abs=1e-12)
             assert o["kept_pair_fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBellCorrelationThroughTheCli:
+    """The paper's Bell correlation, read off the JSON reports alone: the kept
+    pair ends in the Bell state whose (parity, phase) label is the class label
+    XOR every label measured on the other qubits."""
+
+    LABEL = {"phi+": (0, 0), "phi-": (0, 1), "psi+": (1, 0), "psi-": (1, 1),
+             "rho+": (0, 0), "rho-": (0, 1), "sigma+": (1, 0), "sigma-": (1, 1)}
+
+    @classmethod
+    def _xor(cls, *names):
+        return tuple(sum(cls.LABEL[name][i] for name in names) % 2 for i in range(2))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("state", ["rho+", "rho-", "sigma+", "sigma-"])
+    def test_kept_pair_label_is_the_xor_of_the_rest(self, state, seed, tmp_path, capsys):
+        rng = random.Random(f"{state}:{seed}")
+        keep = sorted(rng.sample(range(1, 7), 2))
+        rest = [q for q in range(1, 7) if q not in keep]
+        rng.shuffle(rest)
+        keep_arg = f"{keep[0]},{keep[1]}"
+        pairing = ";".join(f"{min(p)},{max(p)}" for p in (rest[:2], rest[2:]))
+        path = tmp_path / "report.json"
+        assert run(["unlock", "--class", state, "--n", "6", "--keep", keep_arg, "--pairing", pairing,
+                    "--json", str(path)]) == 0
+        branches = json.loads(path.read_text())["branches"]
+        assert len(branches) == 16
+        for b in branches:
+            assert self.LABEL[b["best_label"]] == self._xor(state, *b["labels"])
+        assert run(["discriminate", "--class", state, "--n", "6", "--keep", keep_arg, "--json", str(path)]) == 0
+        outcomes = json.loads(path.read_text())["outcomes"]
+        assert len(outcomes) == 4
+        for o in outcomes:
+            assert self.LABEL[o["kept_pair_best_bell"]] == self._xor(state, o["outcome"])
 
 
 class TestNoisyScan:

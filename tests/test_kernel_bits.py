@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcabe import analyze, construct, linalg
 from bcabe.analyze import is_ppt
@@ -321,6 +321,10 @@ class TestPairedRouteKernelBits:
     @settings(deadline=None, max_examples=200)
     @given(SEEDS, st.integers(min_value=2, max_value=16), st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
            st.booleans())
+    # a converged matrix whose off-diagonal is +-5e-324j: its norm underflows to 0, so
+    # every pair clears the skip level, but no sweep would rotate it, and 1/|apq| overflows
+    @example(seed=4294967294, dim=2, kinds=["busy", "converged"], shuffled=False)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_the_sweeps(self, seed, dim, kinds, shuffled):
         rng = np.random.default_rng(seed)
         parts = [self._paired_matrix(rng, dim, kind) for kind in kinds]
